@@ -59,7 +59,6 @@ from .residue_fields import (
 )
 from .dynamics import (
     FunctionalGraph,
-    ProjPoint,
     ReducedMap,
     build_graph,
     general_map,

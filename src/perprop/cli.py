@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -472,9 +473,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_signed_c(argv: list[str]) -> list[str]:
+    """Rewrite `-c VALUE` as `-c=VALUE` when VALUE is a cyclotomic literal
+    with a leading minus (`-1+z`, `-z^2`): argparse takes only plain negative
+    numbers as values and would read it as a flag."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "-c" and re.match(r"-[\dz]", tok):
+            out[-1] = f"-c={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_attach_signed_c(argv))
     try:
         return args.func(args)
     except UsageError as exc:

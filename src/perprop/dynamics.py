@@ -9,15 +9,21 @@ sizes stabilize (the stable set is the intersection of all forward images).
 Their agreement is part of the test suite, and the image-size sequence is
 the quantity the effective bounds control.
 
-Power maps x^d + c over prime fields take a vectorized fast path; extension
-fields and general rational maps (prime fields only, good reduction checked
-by a Euclidean gcd plus degree comparison) evaluate pointwise.
+Every map is evaluated by one array kernel over blocks of BLOCK indices: the
+indices split into their base-p digits, an (f, block) array of coefficients
+over F_p, and products are convolutions reduced by the monic modulus.  x^d + c
+(over any F_{p^f}) is a square-and-multiply power; a general rational map
+(prime fields only, good reduction checked by a Euclidean gcd plus degree
+comparison) is an array Horner evaluation of numerator and denominator with a
+Fermat-power inverse.  Forward images are iterated with a boolean mask over
+the points, so no step sorts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import islice
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -26,34 +32,18 @@ from .powermap import CycSetting
 from .residue_fields import Element, PrimeOfK, ResidueField, reduce_cyclotomic
 
 MEMORY_CAP_POINTS = 20_000_000
-
-
-@dataclass(frozen=True)
-class ProjPoint:
-    """A point of P^1(F_q): a field element or infinity (value None)."""
-
-    value: Optional[Element]
-
-    @classmethod
-    def finite(cls, x: Element) -> "ProjPoint":
-        return cls(tuple(x))
-
-    @classmethod
-    def infinity(cls) -> "ProjPoint":
-        return cls(None)
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.value is None
+# Indices evaluated together; keeps the kernel's temporaries (a few arrays of
+# (2f - 1) x BLOCK int64) small next to the successor array.
+BLOCK = 8192
 
 
 @dataclass(frozen=True)
 class ReducedMap:
     """A self-map of P^1 over a finite field with good reduction.
 
-    kind "power_plus_c" is the x^d + c fast path (good reduction automatic);
-    kind "general" holds numerator/denominator coefficient tuples over a
-    prime field, certified coprime with full degree at construction.
+    kind "power_plus_c" is x^d + c (good reduction automatic); kind "general"
+    holds numerator/denominator coefficient tuples over a prime field,
+    certified coprime with full degree at construction.
     """
 
     field: ResidueField
@@ -63,33 +53,6 @@ class ReducedMap:
     num_coeffs: Optional[tuple[Element, ...]] = None
     den_coeffs: Optional[tuple[Element, ...]] = None
     wild: bool = False
-
-    def apply(self, point: ProjPoint) -> ProjPoint:
-        F = self.field
-        if self.kind == "power_plus_c":
-            if point.is_infinity:
-                return ProjPoint.infinity()
-            return ProjPoint.finite(F.add(F.pow(point.value, self.degree), self.c))
-        num, den = self.num_coeffs, self.den_coeffs
-        if point.is_infinity:
-            dn, dd = len(num) - 1, len(den) - 1
-            if dn > dd:
-                return ProjPoint.infinity()
-            if dn < dd:
-                return ProjPoint.finite(F.zero)
-            return ProjPoint.finite(F.mul(num[-1], F.inv(den[-1])))
-        top = _horner(F, num, point.value)
-        bottom = _horner(F, den, point.value)
-        if bottom == F.zero:
-            return ProjPoint.infinity()  # numerator nonzero by good reduction
-        return ProjPoint.finite(F.mul(top, F.inv(bottom)))
-
-
-def _horner(F: ResidueField, coeffs: tuple[Element, ...], x: Element) -> Element:
-    acc = F.zero
-    for c in reversed(coeffs):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
 
 
 def reduce_map(s: CycSetting, P: PrimeOfK) -> ReducedMap:
@@ -182,40 +145,119 @@ class FunctionalGraph:
         return self.size - 1
 
 
+def _check_int64(field: ResidueField) -> None:
+    """Raise ResourceCapError unless the kernels' int64 arithmetic is exact
+    over the field: a product of two coefficients is at most (p-1)^2, and a
+    convolution sum, or a slot during reduction by the modulus, is within
+    f (p-1)^2 of zero."""
+    if field.f * (field.p - 1) ** 2 >= 2**63:
+        raise ResourceCapError(
+            f"F_{field.p}^{field.f} arithmetic would overflow int64 "
+            f"(f (p-1)^2 >= 2^63)"
+        )
+
+
 def build_graph(m: ReducedMap, cap: int = MEMORY_CAP_POINTS) -> FunctionalGraph:
     """Evaluate the map at every point of P^1(F_q)."""
-    q = m.field.q
+    F = m.field
+    q = F.q
     size = q + 1
     if size > cap:
         raise ResourceCapError(f"graph needs {size} points, cap is {cap}")
-    if m.kind == "power_plus_c" and m.field.f == 1:
-        succ = _power_successors_prime_field(m.field.p, m.degree, m.c[0])
-    else:
-        F = m.field
-        succ = np.empty(size, dtype=np.int64)
-        for idx in range(q):
-            image = m.apply(ProjPoint.finite(F.element_from_index(idx)))
-            succ[idx] = q if image.is_infinity else F.index_of(image.value)
-        image = m.apply(ProjPoint.infinity())
-        succ[q] = q if image.is_infinity else F.index_of(image.value)
+    _check_int64(F)
+    succ = np.empty(size, dtype=np.int64)
+    for start in range(0, q, BLOCK):
+        idx = np.arange(start, min(start + BLOCK, q), dtype=np.int64)
+        succ[start : start + idx.size] = _finite_successors(m, idx)
+    succ[q] = _infinity_successor(m)
     return FunctionalGraph(size=size, successor=succ)
 
 
-def _power_successors_prime_field(p: int, d: int, c: int) -> np.ndarray:
-    x = np.arange(p, dtype=np.int64)
-    result = np.ones(p, dtype=np.int64)
-    base = x.copy()
-    k = d
+def _finite_successors(m: ReducedMap, idx: np.ndarray) -> np.ndarray:
+    F = m.field
+    x = _digits(F, idx)
+    if m.kind == "power_plus_c":
+        return _indices(F, (_power(F, x, m.degree) + _column(m.c)) % F.p)
+    top = _eval_poly(F, m.num_coeffs, x)
+    bottom = _eval_poly(F, m.den_coeffs, x)
+    out = _indices(F, _mul(F, top, _power(F, bottom, F.q - 2)))
+    out[~bottom.any(axis=0)] = F.q  # numerator nonzero there by good reduction
+    return out
+
+
+def _infinity_successor(m: ReducedMap) -> int:
+    F = m.field
+    if m.kind == "power_plus_c":
+        return F.q  # infinity is fixed for a polynomial map
+    num, den = m.num_coeffs, m.den_coeffs
+    if len(num) > len(den):
+        return F.q
+    if len(num) < len(den):
+        return 0
+    return F.index_of(F.mul(num[-1], F.inv(den[-1])))
+
+
+# Kernel layout: n field elements are an (f, n) int64 array of coefficients in
+# [0, p), row j holding the coefficient of t^j, so every row is contiguous.
+
+
+def _column(a: Element) -> np.ndarray:
+    return np.asarray(a, dtype=np.int64)[:, None]
+
+
+def _digits(F: ResidueField, idx: np.ndarray) -> np.ndarray:
+    """The elements with the given base-p indices (little-endian digits)."""
+    x = np.empty((F.f, idx.size), dtype=np.int64)
+    rest = idx
+    for j in range(F.f - 1):
+        rest, x[j] = np.divmod(rest, F.p)
+    x[F.f - 1] = rest
+    return x
+
+
+def _indices(F: ResidueField, x: np.ndarray) -> np.ndarray:
+    """Base-p index of every element."""
+    out = x[F.f - 1].copy()
+    for j in range(F.f - 2, -1, -1):
+        out *= F.p
+        out += x[j]
+    return out
+
+
+def _mul(F: ResidueField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise product: convolve the coefficient rows, then reduce by the
+    monic modulus from the top coefficient down."""
+    f, p = F.f, F.p
+    conv = np.zeros((2 * f - 1, max(a.shape[1], b.shape[1])), dtype=np.int64)
+    for i in range(f):
+        conv[i : i + f] += a[i] * b
+    low = _column(F.modulus[:f])
+    for k in range(2 * f - 2, f - 1, -1):
+        conv[k - f : k] -= (conv[k] % p) * low
+    return conv[:f] % p
+
+
+def _power(F: ResidueField, x: np.ndarray, k: int) -> np.ndarray:
+    """x^k elementwise by square-and-multiply."""
+    result = None
     while k:
         if k & 1:
-            result = result * base % p
+            result = x if result is None else _mul(F, result, x)
         k >>= 1
         if k:
-            base = base * base % p
-    succ = np.empty(p + 1, dtype=np.int64)
-    succ[:p] = (result + c) % p
-    succ[p] = p  # infinity is fixed for a polynomial map
-    return succ
+            x = _mul(F, x, x)
+    if result is None:  # k == 0
+        result = np.zeros_like(x)
+        result[0] = 1
+    return result
+
+
+def _eval_poly(F: ResidueField, coeffs: tuple[Element, ...], x: np.ndarray) -> np.ndarray:
+    """A polynomial with field-element coefficients at every element (Horner)."""
+    acc = _column(coeffs[-1])
+    for coeff in reversed(coeffs[:-1]):
+        acc = (_mul(F, acc, x) + _column(coeff)) % F.p
+    return np.broadcast_to(acc, x.shape)
 
 
 def periodic_by_cycles(g: FunctionalGraph) -> frozenset[int]:
@@ -243,46 +285,45 @@ def periodic_by_cycles(g: FunctionalGraph) -> frozenset[int]:
     return frozenset(periodic)
 
 
+def _forward_images(g: FunctionalGraph) -> Iterator[np.ndarray]:
+    """The forward images of the whole space, f^0(X), f^1(X), ..., as sorted
+    index arrays, ending with the first one no smaller than its predecessor:
+    that one is the stable set, the periodic points."""
+    current = np.arange(g.size, dtype=np.int64)
+    yield current
+    mask = np.empty(g.size, dtype=bool)
+    while True:
+        mask[:] = False
+        mask[g.successor[current]] = True
+        nxt = np.flatnonzero(mask)
+        yield nxt
+        if nxt.size == current.size:
+            return
+        current = nxt
+
+
 def periodic_by_image_iteration(g: FunctionalGraph) -> tuple[frozenset[int], tuple[int, ...]]:
     """Iterate forward images until the sizes stabilize; the stable set is the
     periodic set.  Returns (stable set, size sequence including the repeat)."""
-    current = np.arange(g.size, dtype=np.int64)
-    sizes = [g.size]
-    while True:
-        nxt = np.unique(g.successor[current])
-        sizes.append(int(nxt.size))
-        if nxt.size == current.size:
-            return frozenset(int(i) for i in nxt), tuple(sizes)
-        current = nxt
+    sizes = []
+    for img in _forward_images(g):
+        sizes.append(img.size)
+    return frozenset(img.tolist()), tuple(sizes)
 
 
 def image_size_sequence(g: FunctionalGraph, max_entries: int) -> tuple[int, ...]:
     """First entries of the image-size sequence, stopping at stability or at
-    max_entries, whichever comes first."""
-    sizes = [g.size]
-    current = np.arange(g.size, dtype=np.int64)
-    while len(sizes) < max_entries:
-        nxt = np.unique(g.successor[current])
-        sizes.append(int(nxt.size))
-        if nxt.size == current.size:
-            break
-        current = nxt
-    return tuple(sizes)
+    max_entries, whichever comes first (the full space always counts)."""
+    return tuple(img.size for img in islice(_forward_images(g), max(max_entries, 1)))
 
 
 def image_size_at(g: FunctionalGraph, n: int) -> int:
     """|n-th forward image of the whole space| (stops early once stable)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    current = np.arange(g.size, dtype=np.int64)
-    for _ in range(n):
-        mask = np.zeros(g.size, dtype=bool)
-        mask[g.successor[current]] = True
-        nxt = np.flatnonzero(mask)
-        if nxt.size == current.size:
-            return int(nxt.size)
-        current = nxt
-    return int(current.size)
+    for img in islice(_forward_images(g), n + 1):
+        size = img.size
+    return size
 
 
 def iterated_map_image_count(g: FunctionalGraph, n: int) -> int:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from perprop.cli import main
 
 
@@ -203,3 +205,15 @@ def test_config_file_preloads_defaults(tmp_path, capsys):
     code, out, _ = run(capsys, "sweep", "--config", str(cfg), "-N", "5")
     assert code == 0
     assert "7,1,7" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["regime", "-d", "2", "-e", "3"],
+    ["sweep", "-d", "2", "-e", "3", "-N", "60"],
+    ["bound", "-d", "2", "-e", "3", "-n", "1", "-q", "7,13", "--measure"],
+])
+def test_c_with_leading_minus(capsys, argv):
+    # `-c -1+z` is read as the value of -c, exactly like `-c=-1+z`
+    code, out, _ = run(capsys, *argv, "-c", "-1+z")
+    assert (code, out) == run(capsys, *argv, "-c=-1+z")[:2]
+    assert code == 0 and out

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from perprop.dynamics import (
-    ProjPoint,
+    BLOCK,
+    _check_int64,
     build_graph,
     general_map,
     image_size_at,
@@ -19,7 +20,13 @@ from perprop.dynamics import (
 )
 from perprop.perms import ResourceCapError
 from perprop.powermap import CycSetting
-from perprop.residue_fields import make_field, primes_above, primes_up_to
+from perprop.residue_fields import (
+    ResidueField,
+    make_field,
+    prime_stream,
+    primes_above,
+    primes_up_to,
+)
 
 
 def brute_periodic(successor) -> frozenset:
@@ -84,15 +91,13 @@ def test_general_map_rejects_bad_reduction():
 def test_general_map_infinity_rules():
     field = make_field(5, 1)
     # (x^2+1)/x: infinity -> infinity, 0 -> infinity
-    m = general_map(field, [1, 0, 1], [0, 1])
-    assert m.apply(ProjPoint.infinity()).is_infinity
-    assert m.apply(ProjPoint.finite((0,))).is_infinity
+    succ = build_graph(general_map(field, [1, 0, 1], [0, 1])).successor
+    assert succ[5] == 5
+    assert succ[0] == 5
     # 1/(x^2): infinity -> 0
-    m = general_map(field, [1], [0, 0, 1])
-    assert m.apply(ProjPoint.infinity()).value == (0,)
+    assert build_graph(general_map(field, [1], [0, 0, 1])).successor[5] == 0
     # (2x^2+1)/(x^2+1): infinity -> 2/1
-    m = general_map(field, [1, 0, 2], [1, 0, 1])
-    assert m.apply(ProjPoint.infinity()).value == (2,)
+    assert build_graph(general_map(field, [1, 0, 2], [1, 0, 1])).successor[5] == 2
 
 
 def test_periodic_algorithms_on_reference_graphs():
@@ -242,8 +247,97 @@ def test_memory_cap():
         build_graph(power_map(field, 2, (1,)), cap=4)
 
 
+def test_int64_guard():
+    # the guard alone, so that a missing guard allocates nothing: a product
+    # of two coefficients reaches (p-1)^2, a convolution sum f (p-1)^2
+    fits = 3_037_000_500  # the largest p with (p-1)^2 < 2^63
+    _check_int64(ResidueField(fits, 1, (0, 1)))
+    with pytest.raises(ResourceCapError):
+        _check_int64(ResidueField(fits + 1, 1, (0, 1)))
+    _check_int64(ResidueField(2_147_483_647, 2, (1, 0, 1)))
+    with pytest.raises(ResourceCapError):
+        _check_int64(ResidueField(2_147_483_659, 2, (1, 0, 1)))
+    with pytest.raises(ResourceCapError):
+        _check_int64(ResidueField(1_518_500_251, 4, (1, 0, 0, 0, 1)))
+
+
 def test_cube_count_for_split_primes():
     # for p = 1 mod 3 the image of x^3 + 1 has (p-1)/3 + 2 points (with infinity)
     for p in (7, 13, 19, 31, 103):
         g = build_graph(reduce_map(CycSetting.make(3, 1, 1), primes_above(p, 1)[0]))
         assert image_size_at(g, 1) == (p - 1) // 3 + 2
+
+
+def _fields_reached(norm_bound):
+    """Every residue field prime_stream reaches for the conductors 3, 4, 5, 7, 8."""
+    fields = {}
+    for e in (3, 4, 5, 7, 8):
+        for P in prime_stream(e, norm_bound):
+            fields[P.field.p, P.field.f] = P.field
+    return [fields[key] for key in sorted(fields)]
+
+
+def test_power_map_successors_match_scalar_field_arithmetic():
+    # Extension fields are checked at every point.  Prime fields run the same
+    # kernel; they are checked at the first and last points of every block
+    # and at 32 seeded random points, since all of their 1.8e7 points in
+    # scalar arithmetic would take minutes.
+    rng = random.Random(5)
+    fields = _fields_reached(20_000)
+    assert any(F.f >= 2 and F.q > BLOCK for F in fields)  # multi-block, partial tail
+    for F in fields:
+        if F.f >= 2:
+            points = range(F.q)
+        else:
+            edges = {i for start in range(0, F.q, BLOCK)
+                     for i in (start, start + 1, start + BLOCK - 1, start + BLOCK)}
+            edges |= {rng.randrange(F.q) for _ in range(32)} | {F.q - 1}
+            points = sorted(i for i in edges if i < F.q)
+        c = F.element_from_index(rng.randrange(F.q))
+        succ = {d: build_graph(power_map(F, d, c)).successor for d in (2, 3, 4, 5)}
+        for idx in points:
+            x = F.element_from_index(idx)
+            power = x
+            for d in (2, 3, 4, 5):
+                power = F.mul(power, x)
+                assert succ[d][idx] == F.index_of(F.add(power, c)), (F, d, idx)
+        assert all(succ[d][F.q] == F.q for d in succ)
+
+
+def _scalar_rational_image(F, num, den, idx):
+    """Oracle: p(x)/q(x) at one point by scalar Horner; infinity through the
+    homogenized map (1:0) -> (leading num : leading den) in degree D."""
+    if idx == F.q:
+        top_degree = max(len(num), len(den)) - 1
+        top = num[top_degree] if top_degree < len(num) else F.zero
+        bottom = den[top_degree] if top_degree < len(den) else F.zero
+    else:
+        x = F.element_from_index(idx)
+        top = bottom = F.zero
+        for coeff in reversed(num):
+            top = F.add(F.mul(top, x), coeff)
+        for coeff in reversed(den):
+            bottom = F.add(F.mul(bottom, x), coeff)
+    if bottom == F.zero:
+        return F.q
+    return F.index_of(F.mul(top, F.inv(bottom)))
+
+
+def test_general_map_successors_match_scalar_horner():
+    # the random rational-map generator of acceptance criterion 6
+    rng = random.Random(97)
+    done = 0
+    while done < 100:
+        p = rng.choice([q for q in primes_up_to(100) if q > 2])
+        field = make_field(p, 1)
+        degree = rng.randint(1, 4)
+        num = [rng.randrange(p) for _ in range(degree + 1)]
+        den = [rng.randrange(p) for _ in range(rng.randint(1, degree + 1))]
+        try:
+            m = general_map(field, num, den)
+        except ValueError:
+            continue
+        expected = [_scalar_rational_image(field, m.num_coeffs, m.den_coeffs, i)
+                    for i in range(field.q + 1)]
+        assert build_graph(m).successor.tolist() == expected, (p, num, den)
+        done += 1
