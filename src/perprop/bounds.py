@@ -144,12 +144,15 @@ def fix_class_count(s: PermSet) -> int:
     with a fixed point; exact, by exhaustion (small explicit groups only)."""
     if s.kind != "group":
         raise ValueError("fix_class_count requires kind='group'")
-    unseen = {p.images: p for p in s if trace(p) > 0}
+    unseen = {p.images for p in s if trace(p) > 0}
+    # conjugate on image tuples, g^-1 being the argsort of g:
+    # (g * rep * g^-1)(i) = g(rep(g^-1(i)))
+    images = [p.images for p in s]
+    pairs = [(g, sorted(range(len(g)), key=g.__getitem__)) for g in images]
     classes = 0
     while unseen:
-        _, rep = unseen.popitem()
+        rep = unseen.pop()
         classes += 1
-        for g in s:
-            conj = g * rep * g.inverse()
-            unseen.pop(conj.images, None)
+        for g, g_inv in pairs:
+            unseen.discard(tuple([g[rep[k]] for k in g_inv]))
     return classes

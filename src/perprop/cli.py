@@ -394,13 +394,19 @@ def cmd_bound(args) -> int:
     violations = 0
     setting = pm.CycSetting.make(d, e, c_text) if measure else None
     for q in grid:
-        err = bnd.error_term(q, n, d, B_order, class_count)
-        bound = A_order * fpp_up + err
-        line = f"q={q} bound={fmt6(bound)} error_term={fmt6(err)}"
+        # a measured row is bounded at the norm of the prime it measures,
+        # q^f for an inert q
+        label, norm = f"q={q}", q
         if measure:
             if not rf.is_prime(q):
                 raise UsageError(f"--measure needs prime grid entries, got {q}")
             P = rf.primes_above(q, e)[0]
+            norm = P.norm
+            label += f" norm={norm}"
+        err = bnd.error_term(norm, n, d, B_order, class_count)
+        bound = A_order * fpp_up + err
+        line = f"{label} bound={fmt6(bound)} error_term={fmt6(err)}"
+        if measure:
             graph = dyn.build_graph(dyn.reduce_map(setting, P))
             measured = Fraction(dyn.image_size_at(graph, n), graph.size)
             ok = measured <= bound

@@ -7,11 +7,12 @@ fixed-point-free elements, so 1 - constant term is the fixed-point proportion
 of the set, and iterating the polynomial at 0 tracks the fixed-point
 proportion of iterated wreath-product cosets.
 
-Iteration is exact in Fractions while denominators stay below a bit cap, then
-switches to outward-rounded dyadic interval arithmetic (iterating a degree-d
-polynomial roughly cubes denominators, so exact iteration blows up doubly
-exponentially).  All returned enclosures are guaranteed to contain the true
-value.
+One driver, `_iterates`, serves iterate_at_zero and epsilon_index.  It is
+exact in Fractions while denominators stay below a bit cap (iterating a degree-d
+polynomial roughly multiplies denominator sizes by d, so exact iteration blows
+up exponentially in bits), then carries outward-rounded dyadic endpoints as
+integer numerators over 2^wp, stepped by integer Horner with no Fraction or gcd.
+All returned enclosures are guaranteed to contain the true value.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from math import lcm
 
 from .perms import PermSet, ResourceCapError, trace
 
@@ -159,45 +162,59 @@ def compose(f: IndicatrixPoly, g: IndicatrixPoly, max_degree: int = 64) -> Indic
     return IndicatrixPoly(tuple(acc))
 
 
-def _round_down(x: Fraction, bits: int) -> Fraction:
-    return Fraction((x.numerator << bits) // x.denominator, 1 << bits)
+def _endpoint_step(f: IndicatrixPoly, wp: int):
+    """step(lo, hi): numerators over 2^wp of f(lo/2^wp) rounded down and of
+    f(hi/2^wp) rounded up to wp bits, in integers.  With D the lcm of the
+    coefficient denominators and a_k = c_k * D, 2^wp f(L/2^wp) is
+    sum a_k L^k 2^(wp(deg-k)) / (D 2^(wp(deg-1))): integer Horner, a shift, D.
+    """
+    coeffs = f.coeffs + (Fraction(0),) * (2 - len(f.coeffs))  # degree >= 1
+    D = lcm(*(c.denominator for c in coeffs))
+    shifted = [c.numerator * (D // c.denominator) << (wp * i)
+               for i, c in enumerate(reversed(coeffs))]  # a_deg first
+    shift = wp * (len(coeffs) - 2)
+
+    def step(lo: int, hi: int) -> tuple[int, int]:
+        p_lo = p_hi = 0
+        for b in shifted:
+            p_lo = p_lo * lo + b
+            p_hi = p_hi * hi + b
+        return (p_lo >> shift) // D, -(((-p_hi) >> shift) // D)
+
+    return step
 
 
-def _round_up(x: Fraction, bits: int) -> Fraction:
-    return Fraction(-((-x.numerator << bits) // x.denominator), 1 << bits)
+def _iterates(f: IndicatrixPoly, wp: int):
+    """Yield (lo, hi, den) with lo/den <= f^n(0) <= hi/den for n = 1, 2, ...:
+    exact (lo == hi) while the denominator fits DENOMINATOR_BIT_CAP bits, then
+    wp-bit endpoints (den = 2^wp) rounded outward, sound as f increases on [0, 1].
+    """
+    x = value_at(f, 0)
+    while x.denominator.bit_length() <= DENOMINATOR_BIT_CAP:
+        yield x.numerator, x.numerator, x.denominator
+        x = value_at(f, x)
+    den = 1 << wp
+    lo = (x.numerator << wp) // x.denominator
+    hi = -((-x.numerator << wp) // x.denominator)
+    step = _endpoint_step(f, wp)
+    while True:
+        yield lo, hi, den
+        lo, hi = step(lo, hi)
 
 
 def iterate_at_zero(f: IndicatrixPoly, n: int, precision: int = 128) -> IntervalRational:
-    """Enclosure of the n-th iterate of f at 0, of width <= 2^(-precision+2).
-
-    Exact rational iteration is used until denominators exceed the bit cap,
-    then endpoint iteration with outward dyadic rounding (valid because the
-    coefficients are nonnegative, so f is increasing on [0, 1]).
-    """
+    """Enclosure of the n-th iterate of f at 0, of width <= 2^(-precision+2):
+    the n-th enclosure of _iterates, doubling the working precision until it
+    is that narrow."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if precision < 32:
         raise ValueError("precision must be >= 32 bits")
-    x = Fraction(0)
-    done = 0
-    for _ in range(n):
-        nxt = value_at(f, x)
-        if nxt.denominator.bit_length() > DENOMINATOR_BIT_CAP:
-            break
-        x = nxt
-        done += 1
-    if done == n:
-        return IntervalRational(x, x)
-
-    target_width = Fraction(1, 1 << (precision - 2))
     wp = max(WORKING_PRECISION, precision + 64 + n.bit_length())
     while wp <= MAX_PRECISION:
-        lo, hi = x, x
-        for _ in range(done, n):
-            lo = _round_down(value_at(f, lo), wp)
-            hi = _round_up(value_at(f, hi), wp)
-        if hi - lo <= target_width:
-            return IntervalRational(lo, hi)
+        lo, hi, den = next(islice(_iterates(f, wp), n - 1, None))
+        if (hi - lo) << (precision - 2) <= den:
+            return IntervalRational(Fraction(lo, den), Fraction(hi, den))
         wp *= 2
     raise PrecisionExhaustedError(
         f"could not reach width 2^-{precision - 2} within {MAX_PRECISION} bits"
@@ -211,53 +228,34 @@ def epsilon_index(f: IndicatrixPoly, epsilon) -> int | _Diverges:
     iterates at 0 converge to 1 whenever the constant term is positive.
     Comparisons against epsilon are decided from certified enclosures; if an
     enclosure straddles epsilon the scan restarts at doubled precision, up to
-    the hard cap.
+    the hard cap.  Running out of MAX_ITERATION_STEPS is a ResourceCapError.
     """
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
     if f.coeffs[0] == 0:
         return DIVERGES
+    eps_num, eps_den = epsilon.numerator, epsilon.denominator
     wp = WORKING_PRECISION
     while True:
-        result = _epsilon_scan(f, epsilon, wp)
-        if result is not None:
-            return result
+        # 1 - lo/den < epsilon  <=>  (den - lo) * eps_den < eps_num * den
+        steps = zip(range(1, MAX_ITERATION_STEPS + 1), _iterates(f, wp))
+        for n, (lo, hi, den) in steps:
+            bar = eps_num * den
+            if (den - lo) * eps_den < bar:
+                return n
+            if (den - hi) * eps_den < bar:
+                break  # the enclosure straddles epsilon
+        else:
+            raise ResourceCapError(
+                f"no index below epsilon={epsilon} within {MAX_ITERATION_STEPS}"
+                " iterations; is the source a coset of a transitive group?"
+            )
         if wp >= MAX_PRECISION:
             raise PrecisionExhaustedError(
                 f"enclosure straddles epsilon={epsilon} at {MAX_PRECISION} bits"
             )
         wp = min(2 * wp, MAX_PRECISION)
-
-
-def _epsilon_scan(f: IndicatrixPoly, epsilon: Fraction, wp: int) -> int | None:
-    """One scan at fixed precision; None means an enclosure straddled epsilon."""
-    x = Fraction(0)
-    lo = hi = x
-    exact = True
-    for n in range(1, MAX_ITERATION_STEPS + 1):
-        if exact:
-            x = value_at(f, x)
-            if x.denominator.bit_length() > DENOMINATOR_BIT_CAP:
-                exact = False
-                lo = _round_down(x, wp)
-                hi = _round_up(x, wp)
-        else:
-            lo = _round_down(value_at(f, lo), wp)
-            hi = _round_up(value_at(f, hi), wp)
-        if exact:
-            if 1 - x < epsilon:
-                return n
-        else:
-            if 1 - lo < epsilon:
-                return n
-            if 1 - hi >= epsilon:
-                continue
-            return None
-    raise ValueError(
-        f"no index below epsilon={epsilon} within {MAX_ITERATION_STEPS} iterations;"
-        " is the source a coset of a transitive group?"
-    )
 
 
 def max_epsilon_index_over_cosets(degree: int, epsilon) -> int:

@@ -38,12 +38,7 @@ def is_prime(n: int) -> bool:
         return True
     if n % 2 == 0:
         return False
-    f = 3
-    while f <= isqrt(n):
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return all(n % f for f in range(3, isqrt(n) + 1, 2))
 
 
 def primes_up_to(n: int) -> list[int]:

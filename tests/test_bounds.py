@@ -14,7 +14,7 @@ from perprop.bounds import (
     ramified_bound,
     sqrt_upper,
 )
-from perprop.perms import cyclic_group, symmetric_group
+from perprop.perms import cyclic_group, symmetric_group, trace
 
 F = Fraction
 
@@ -107,3 +107,22 @@ def test_fix_class_count_small_groups():
     assert fix_class_count(cyclic_group(3)) == 1
     # default over-bound is always sound
     assert fix_class_count(symmetric_group(4)) <= len(symmetric_group(4))
+
+
+def _fix_class_count_by_permutations(s):
+    """Oracle: the same exhaustion, conjugating with Permutation objects."""
+    unseen = {p.images: p for p in s if trace(p) > 0}
+    classes = 0
+    while unseen:
+        _, rep = unseen.popitem()
+        classes += 1
+        for g in s:
+            unseen.pop((g * rep * g.inverse()).images, None)
+    return classes
+
+
+@pytest.mark.parametrize(
+    "group", [symmetric_group(3), cyclic_group(3), symmetric_group(4)]
+)
+def test_fix_class_count_matches_permutation_conjugation(group):
+    assert fix_class_count(group) == _fix_class_count_by_permutations(group)

@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction as F
 
 import pytest
 
-from perprop.cli import main
+from perprop.cli import fmt6, main
 
 
 def run(capsys, *argv):
@@ -188,6 +189,27 @@ def test_bound_measure(capsys):
     assert code == 2
 
 
+def test_bound_measure_inert_prime_uses_norm(capsys):
+    # q = 5 is inert in Q(zeta_3): the measured field has norm 25, so the
+    # error term is evaluated at 25, not at q (|A| = 1, |B_1| = 2, classes 2)
+    from perprop.bounds import error_term
+
+    at_norm = error_term(25, 1, 2, 2, 2)
+    code, out, _ = run(capsys, "bound", "-d", "2", "-e", "3", "-n", "1",
+                       "-q", "5", "--measure")
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        f"q=5 norm=25 bound={fmt6(F(1, 2) + at_norm)} error_term={fmt6(at_norm)}"
+        " measured=0.538462 ok"
+    )
+    # without --measure the row is still evaluated and labelled at q
+    at_q = error_term(5, 1, 2, 2, 2)
+    code, out, _ = run(capsys, "bound", "-d", "2", "-e", "3", "-n", "1", "-q", "5")
+    assert out.splitlines()[-1] == (
+        f"q=5 bound={fmt6(F(1, 2) + at_q)} error_term={fmt6(at_q)}"
+    )
+
+
 def test_bound_exact_classes(capsys):
     code, out, _ = run(capsys, "bound", "-d", "3", "-e", "1", "-n", "1",
                        "-q", "101", "--classes", "exact")
@@ -205,6 +227,15 @@ def test_config_file_preloads_defaults(tmp_path, capsys):
     code, out, _ = run(capsys, "sweep", "--config", str(cfg), "-N", "5")
     assert code == 0
     assert "7,1,7" not in out
+
+
+def test_epsilon_iteration_cap_is_a_resource_cap(capsys, monkeypatch):
+    from perprop import indicatrix
+
+    monkeypatch.setattr(indicatrix, "MAX_ITERATION_STEPS", 10)
+    code, _, err = run(capsys, "fpp", "-d", "2", "-n", "1", "--epsilon", "1/10000")
+    assert code == 5
+    assert err.startswith("resource cap:")
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perprop import indicatrix
 from perprop.indicatrix import (
     DIVERGES,
     IndicatrixPoly,
+    _endpoint_step,
     compose,
     derivative_at_one,
     derivative_value,
@@ -24,6 +26,7 @@ from perprop.indicatrix import (
     value_at,
 )
 from perprop.perms import Permutation, cyclic_group, fpp, permset, symmetric_group
+from perprop.powermap import CycSetting, build_B1
 
 F = Fraction
 
@@ -99,11 +102,76 @@ def test_iterate_switches_to_intervals_for_deep_iterates():
     assert 0 < iv.lo and iv.hi < 1
 
 
+def _random_indicatrix(rng, degree):
+    weights = [F(rng.randrange(0, 50), rng.randrange(1, 1000)) for _ in range(degree)]
+    weights.append(F(rng.randrange(1, 50), rng.randrange(1, 1000)))
+    total = sum(weights)
+    return IndicatrixPoly(tuple(w / total for w in weights))
+
+
+def _step_oracle(phi, lo, hi, wp):
+    """Fraction form of one interval step: f at each endpoint over 2^wp,
+    rounded outward to wp bits (floor for lo, ceiling for hi)."""
+    def round_down(x):
+        return F((x.numerator << wp) // x.denominator, 1 << wp)
+
+    def round_up(x):
+        return F(-((-x.numerator << wp) // x.denominator), 1 << wp)
+
+    return (round_down(value_at(phi, F(lo, 1 << wp))),
+            round_up(value_at(phi, F(hi, 1 << wp))))
+
+
+_rng = random.Random(20161)
+STEP_CASES = [_random_indicatrix(_rng, _rng.randrange(7)) for _ in range(200)] + [
+    indicatrix_of(data.coset_permset(m))
+    for data in (build_B1(CycSetting.make(d, 1, 0)) for d in (2, 3, 5))
+    for m in data.A
+]
+
+
+@pytest.mark.parametrize("wp", [64, 256, 512, 4096])
+def test_integer_endpoint_step_matches_fraction_rounding(wp):
+    # every endpoint pair, 50 steps from a seeded start in [0, 1], equals the
+    # outward-rounded Fraction evaluation bit for bit
+    rng = random.Random(wp)
+    one = 1 << wp
+    for phi in STEP_CASES:
+        step = _endpoint_step(phi, wp)
+        lo = rng.randrange(one)
+        hi = min(one, lo + rng.randrange(1 << (wp // 2)))
+        for _ in range(50):
+            expected = _step_oracle(phi, lo, hi, wp)
+            lo, hi = step(lo, hi)
+            assert (F(lo, one), F(hi, one)) == expected, (phi, wp)
+
+
 def test_epsilon_index_examples():
     assert epsilon_index(PHI_S3, F(1, 2)) == 2
     assert epsilon_index(PHI_C2, F(1, 2)) == 2
     x_only = IndicatrixPoly((F(0), F(1)))
     assert epsilon_index(x_only, F(1, 2)) is DIVERGES
+
+
+def test_epsilon_index_restarts_when_enclosure_straddles(monkeypatch):
+    # epsilon sits 2^-300 below 1 - f^30(0): the 256-bit enclosure of the
+    # 30th iterate is wider than that, so the first scan straddles epsilon
+    # and restarts at 512 bits, which decides it
+    lo, hi, den = next(itertools.islice(indicatrix._iterates(PHI_C2, 4096), 29, None))
+    eps = 1 - F(lo + hi, 2 * den) - F(1, 2**300)
+    precisions = []
+    real_iterates = indicatrix._iterates
+
+    def spy(f, wp):
+        precisions.append(wp)
+        return real_iterates(f, wp)
+
+    monkeypatch.setattr(indicatrix, "_iterates", spy)
+    index = epsilon_index(PHI_C2, eps)
+    assert precisions == [256, 512]
+    monkeypatch.setattr(indicatrix, "WORKING_PRECISION", 4096)
+    assert epsilon_index(PHI_C2, eps) == index == 31
+    assert precisions == [256, 512, 4096]
 
 
 def test_epsilon_index_validates_epsilon():
