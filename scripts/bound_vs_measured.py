@@ -16,10 +16,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from perprop.bounds import error_term
-from perprop.cli import fmt6
+from perprop.cli import coset_fpp_enclosures, fmt6
 from perprop.dynamics import build_graph, image_size_at, reduce_map
-from perprop.indicatrix import indicatrix_of, iterate_at_zero
-from perprop.powermap import CycSetting, build_B1
+from perprop.powermap import CycSetting, galois_A
 from perprop.residue_fields import is_prime, primes_above
 from perprop.wreath import wreath_order
 
@@ -36,14 +35,11 @@ def main():
     n = int(sys.argv[3]) if len(sys.argv) > 3 else 1
     max_exp = int(sys.argv[4]) if len(sys.argv) > 4 else 5
     setting = CycSetting.make(d, 1, c)
-    data = build_B1(setting)
-    order = len(data.A) * wreath_order(d, d, n)
-    total = Fraction(0)
-    for m in data.A:
-        iv = iterate_at_zero(indicatrix_of(data.coset_permset(m)), n)
-        total += 1 - iv.lo
-    fixed_part = total  # |A| * mean over cosets
-    print(f"map x^{d}+{c}, iterate n={n}: |A|={len(data.A)} |B_n|={order} "
+    A_order = len(galois_A(d, 1))
+    order = A_order * wreath_order(d, d, n)
+    # |A| times the mean over cosets
+    fixed_part = sum(hi for *_, hi in coset_fpp_enclosures(d, 1, n))
+    print(f"map x^{d}+{c}, iterate n={n}: |A|={A_order} |B_n|={order} "
           f"fixed part of bound = {fixed_part} ({fmt6(fixed_part)})")
     print("q,fixed_part,error_term,bound,measured,ok")
     for exp in range(2, max_exp + 1):

@@ -10,20 +10,13 @@ Usage: python scripts/decay_experiment.py [norm_bound] [outdir]
 
 import sys
 from pathlib import Path
+from statistics import median
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from perprop.cli import compute_row, fmt6, CSV_HEADER, _row_csv
 from perprop.powermap import CycSetting
 from perprop.residue_fields import prime_stream
-
-
-def median(values):
-    ordered = sorted(values)
-    k = len(ordered)
-    if k % 2:
-        return ordered[k // 2]
-    return (ordered[k // 2 - 1] + ordered[k // 2]) / 2
 
 
 def decades(limit):

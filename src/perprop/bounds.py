@@ -22,14 +22,24 @@ from .perms import PermSet, trace
 SQRT_BITS = 64
 
 
-def sqrt_upper(q: int, bits: int = SQRT_BITS) -> Fraction:
-    """Rational upper bound on sqrt(q), within 2^-bits."""
-    if q < 0:
-        raise ValueError("q must be nonnegative")
-    s = isqrt(q << (2 * bits))
-    if s * s == q << (2 * bits):
-        return Fraction(s, 1 << bits)
-    return Fraction(s + 1, 1 << bits)
+def sqrt_upper(x, bits: int = SQRT_BITS) -> Fraction:
+    """Rational upper bound on sqrt(x) for an int or Fraction x >= 0, within
+    2^-bits, and exact when x is the square of a rational."""
+    x = Fraction(x)
+    if x < 0:
+        raise ValueError("x must be nonnegative")
+    n = x.numerator * x.denominator << (2 * bits)
+    return Fraction(isqrt(n - 1) + 1 if n else 0, x.denominator << bits)  # ceil(sqrt(n))
+
+
+def sqrt_lower(x, bits: int = SQRT_BITS) -> Fraction:
+    """Rational lower bound on sqrt(x) for an int or Fraction x, within
+    2^-bits; 0 when x < 0, as a lower end of an enclosure may be."""
+    x = Fraction(x)
+    if x < 0:
+        return Fraction(0)
+    n = x.numerator * x.denominator << (2 * bits)
+    return Fraction(isqrt(n), x.denominator << bits)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
+from statistics import median
 
 from . import bounds as bnd
 from . import dynamics as dyn
@@ -96,8 +97,15 @@ def _bool_conv(text: str) -> bool:
 
 # -- fpp ----------------------------------------------------------------------
 
-def _interval_one_minus(iv: ind.IntervalRational) -> tuple[Fraction, Fraction]:
-    return (1 - iv.hi, 1 - iv.lo)
+def coset_fpp_enclosures(d: int, e: int, n: int):
+    """Yield (m, phi, lo, hi) for each multiplier m of the model group over
+    Q(zeta_e): phi is the indicatrix of m's level-1 coset and [lo, hi]
+    encloses 1 - phi^n(0), the fixed-point proportion of its n-th iterate."""
+    data = pm.build_B1(pm.CycSetting.make(d, e, 0))
+    for m in data.A:
+        phi = ind.indicatrix_of(data.coset_permset(m))
+        iv = ind.iterate_at_zero(phi, n)
+        yield m, phi, 1 - iv.hi, 1 - iv.lo
 
 
 def _show_enclosure(lo: Fraction, hi: Fraction, exact_form: bool) -> str:
@@ -114,24 +122,19 @@ def cmd_fpp(args) -> int:
     exact_form = bool(_merged(args, "exact", _bool_conv, default=False))
     if d < 2 or e < 1 or n < 1:
         raise UsageError("need d >= 2, e >= 1, n >= 1")
-    data = pm.build_B1(pm.CycSetting.make(d, e, 0))
-    agg_lo = Fraction(0)
-    agg_hi = Fraction(0)
-    for m in data.A:
-        phi = ind.indicatrix_of(data.coset_permset(m))
-        status = pm.coset_status(m, d)
-        iv = ind.iterate_at_zero(phi, n)
-        lo, hi = _interval_one_minus(iv)
+    agg_lo = agg_hi = Fraction(0)
+    count = 0
+    for m, phi, lo, hi in coset_fpp_enclosures(d, e, n):
         agg_lo += lo
         agg_hi += hi
+        count += 1
         print(f"coset m={m}: phi = {ind.to_text(phi)}")
-        print(f"coset m={m}: status = {status.value}")
+        print(f"coset m={m}: status = {pm.coset_status(m, d).value}")
         print(f"coset m={m}: fpp_n = {_show_enclosure(lo, hi, exact_form)}")
         if epsilon is not None:
             idx = ind.epsilon_index(phi, epsilon)
             shown = "diverges" if idx is ind.DIVERGES else str(idx)
             print(f"coset m={m}: N_eps({epsilon}) = {shown}")
-    count = len(data.A)
     print(
         f"aggregate FPP(B_n), n={n}: "
         f"{_show_enclosure(agg_lo / count, agg_hi / count, exact_form)}"
@@ -238,14 +241,6 @@ def _row_csv(row: SweepRow, exact_form: bool) -> str:
     )
 
 
-def _median(values: list[Fraction]) -> Fraction:
-    ordered = sorted(values)
-    k = len(ordered)
-    if k % 2:
-        return ordered[k // 2]
-    return (ordered[k // 2 - 1] + ordered[k // 2]) / 2
-
-
 def _summary_lines(rows: list[SweepRow], norm_bound: int, exact_form: bool) -> list[str]:
     lo = norm_bound // 10
     show = frac_str if exact_form else fmt6
@@ -256,7 +251,7 @@ def _summary_lines(rows: list[SweepRow], norm_bound: int, exact_form: bool) -> l
         if bucket:
             lines.append(
                 f"# top_decade ({lo}, {norm_bound}] {tag}: count={len(bucket)} "
-                f"max={show(max(bucket))} median={show(_median(bucket))}"
+                f"max={show(max(bucket))} median={show(median(bucket))}"
             )
         else:
             lines.append(
@@ -356,15 +351,6 @@ def cmd_wreathcheck(args) -> int:
 
 # -- bound --------------------------------------------------------------------
 
-def _model_fpp_upper(d: int, e: int, n: int) -> Fraction:
-    data = pm.build_B1(pm.CycSetting.make(d, e, 0))
-    total = Fraction(0)
-    for m in data.A:
-        iv = ind.iterate_at_zero(ind.indicatrix_of(data.coset_permset(m)), n)
-        total += 1 - iv.lo
-    return total / len(data.A)
-
-
 def cmd_bound(args) -> int:
     d = _merged(args, "d", int, required=True)
     e = _merged(args, "e", int, default=1)
@@ -386,7 +372,7 @@ def cmd_bound(args) -> int:
         class_count = bnd.fix_class_count(group)
     else:
         class_count = B_order
-    fpp_up = _model_fpp_upper(d, e, n)
+    fpp_up = sum(hi for *_, hi in coset_fpp_enclosures(d, e, n)) / A_order
     print(
         f"model: d={d} e={e} n={n} |A|={A_order} |B_n|={B_order} "
         f"FPP(B_n)<={frac_str(fpp_up)} classes={class_count}"

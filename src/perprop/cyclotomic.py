@@ -3,6 +3,8 @@
 Elements of Z[zeta_e] are integer coefficient tuples of length phi(e) in the
 power basis 1, zeta, ..., zeta^(phi(e)-1), reduced modulo the e-th cyclotomic
 polynomial.  Text form uses the letter z for zeta, e.g. "1+2z" or "z^2-3".
+The module also holds the package's one integer-polynomial product and
+monic long division; the residue fields reduce their results mod p.
 
 Complex embeddings (zeta -> exp(2*pi*i*m/e) for units m mod e) are available
 two ways: fast double-precision values with a rigorous forward error bound,
@@ -48,20 +50,29 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # exact long division of integer polynomials, divisor monic, remainder 0
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        q = num[i]
-        out[i - dd] = q
+def poly_divmod(num, den) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials (coefficient sequences,
+    constant first) by a monic divisor; the remainder has length deg(den)."""
+    k = len(den) - 1
+    rem = list(num) + [0] * (k - len(num))
+    quot = [0] * (len(rem) - k)
+    for i in range(len(rem) - 1, k - 1, -1):
+        q = rem[i]
         if q:
+            quot[i - k] = q
             for j, c in enumerate(den):
-                num[i - dd + j] -= q * c
-    if any(num[:dd]):
-        raise ArithmeticError("inexact polynomial division")
-    return out
+                rem[i - k + j] -= q * c
+    return quot, rem[:k]
+
+
+def poly_mulmod(a, b, mod) -> list[int]:
+    """Remainder of the integer polynomial product a*b by the monic mod."""
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                conv[i + j] += x * y
+    return poly_divmod(conv, mod)[1]
 
 
 @lru_cache(maxsize=None)
@@ -74,23 +85,16 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     num = [-1] + [0] * (n - 1) + [1]
     for d in divisors(n):
         if d < n:
-            num = _poly_div_exact(num, cyclotomic_polynomial(d))
+            num, rem = poly_divmod(num, cyclotomic_polynomial(d))
+            if any(rem):
+                raise ArithmeticError("inexact polynomial division")
     return tuple(num)
 
 
 def reduce_mod_cyclotomic(coeffs, e: int) -> tuple[int, ...]:
     """Remainder of an integer polynomial in zeta_e modulo the e-th cyclotomic
     polynomial, padded to length phi(e)."""
-    mod = cyclotomic_polynomial(e)
-    deg = len(mod) - 1
-    rem = list(coeffs)
-    for i in range(len(rem) - 1, deg - 1, -1):
-        q = rem[i]
-        if q:
-            for j, c in enumerate(mod):
-                rem[i - deg + j] -= q * c
-    rem = rem[:deg]
-    return tuple(rem + [0] * (deg - len(rem)))
+    return tuple(poly_divmod(coeffs, cyclotomic_polynomial(e))[1])
 
 
 def cyc_zero(e: int) -> tuple[int, ...]:
@@ -106,12 +110,7 @@ def cyc_add(a, b) -> tuple[int, ...]:
 
 
 def cyc_mul(a, b, e: int) -> tuple[int, ...]:
-    conv = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                conv[i + j] += x * y
-    return reduce_mod_cyclotomic(conv, e)
+    return tuple(poly_mulmod(a, b, cyclotomic_polynomial(e)))
 
 
 def cyc_pow(a, k: int, e: int) -> tuple[int, ...]:
@@ -123,16 +122,6 @@ def cyc_pow(a, k: int, e: int) -> tuple[int, ...]:
         base = cyc_mul(base, base, e)
         k >>= 1
     return result
-
-
-def galois_image(a, m: int, e: int) -> tuple[int, ...]:
-    """Apply zeta -> zeta^m (m a unit mod e) to a reduced element."""
-    if gcd(m, e) != 1:
-        raise ValueError(f"{m} is not a unit mod {e}")
-    out = [0] * max(e, 1)
-    for i, c in enumerate(a):
-        out[(m * i) % e if e > 1 else 0] += c
-    return reduce_mod_cyclotomic(out, e)
 
 
 def units_mod(e: int) -> list[int]:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .perms import ResourceCapError
 from .powermap import CycSetting
-from .residue_fields import Element, PrimeOfK, ResidueField, reduce_cyclotomic
+from .residue_fields import Element, PrimeOfK, ResidueField, _poly_gcd, reduce_cyclotomic
 
 MEMORY_CAP_POINTS = 20_000_000
 # Indices evaluated together; keeps the kernel's temporaries (a few arrays of
@@ -92,7 +92,7 @@ def general_map(field: ResidueField, num_coeffs, den_coeffs) -> ReducedMap:
         raise ValueError("zero numerator")
     ints_num = [c[0] for c in num]
     ints_den = [c[0] for c in den]
-    if _int_poly_gcd_degree(ints_num, ints_den, field.p) != 0:
+    if len(_poly_gcd(ints_num, ints_den, field.p)) != 1:
         raise ValueError("bad reduction: numerator and denominator share a root")
     return ReducedMap(
         field=field,
@@ -110,39 +110,12 @@ def _strip_elems(field: ResidueField, coeffs) -> tuple[Element, ...]:
     return tuple(out)
 
 
-def _int_poly_gcd_degree(a: list[int], b: list[int], p: int) -> int:
-    a = [x % p for x in a]
-    b = [x % p for x in b]
-
-    def strip(u):
-        while len(u) > 1 and u[-1] == 0:
-            u.pop()
-        return u
-
-    a, b = strip(a), strip(b)
-    while b != [0]:
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b) and a != [0]:
-            shift = len(a) - len(b)
-            factor = a[-1] * inv % p
-            for i, c in enumerate(b):
-                a[shift + i] = (a[shift + i] - factor * c) % p
-            a = strip(a)
-            if a == [0]:
-                break
-        a, b = b, a
-    return len(a) - 1
-
-
 @dataclass
 class FunctionalGraph:
     """successor[i] = index of the image of point i; index size-1 is infinity."""
 
     size: int
     successor: np.ndarray
-
-    def infinity_index(self) -> int:
-        return self.size - 1
 
 
 def _check_int64(field: ResidueField) -> None:

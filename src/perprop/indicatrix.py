@@ -17,7 +17,6 @@ All returned enclosures are guaranteed to contain the true value.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -125,19 +124,6 @@ def value_at(f: IndicatrixPoly, x) -> Fraction:
 def derivative_at_one(f: IndicatrixPoly) -> Fraction:
     """Sum of k * coeffs[k]; equals the mean trace of the source set."""
     return sum((Fraction(k) * c for k, c in enumerate(f.coeffs)), Fraction(0))
-
-
-def derivative_value(f: IndicatrixPoly, x) -> Fraction:
-    x = Fraction(x)
-    return sum((Fraction(k) * c * x ** (k - 1) for k, c in enumerate(f.coeffs) if k >= 1), Fraction(0))
-
-
-def second_derivative_value(f: IndicatrixPoly, x) -> Fraction:
-    x = Fraction(x)
-    return sum(
-        (Fraction(k * (k - 1)) * c * x ** (k - 2) for k, c in enumerate(f.coeffs) if k >= 2),
-        Fraction(0),
-    )
 
 
 def compose(f: IndicatrixPoly, g: IndicatrixPoly, max_degree: int = 64) -> IndicatrixPoly:
@@ -258,39 +244,6 @@ def epsilon_index(f: IndicatrixPoly, epsilon) -> int | _Diverges:
         wp = min(2 * wp, MAX_PRECISION)
 
 
-def max_epsilon_index_over_cosets(degree: int, epsilon) -> int:
-    """Max epsilon index over all cosets H*s (H transitive in S_degree) having a
-    fixed-point-free element.  Exhaustive, so only degrees up to 4 are allowed.
-    """
-    from .perms import close_under_composition, coset, fpp, is_transitive, symmetric_group
-
-    if degree > 4:
-        raise ValueError("exhaustive coset enumeration supported only for degree <= 4")
-    sym = symmetric_group(degree)
-    groups = {}
-    for a in sym:
-        for b in sym:
-            g = close_under_composition([a, b])
-            groups.setdefault(tuple(p.images for p in g), g)
-    best = 0
-    for g in groups.values():
-        if not is_transitive(g):
-            continue
-        seen = set()
-        for rep in sym:
-            cs = coset(g, rep)
-            key = tuple(p.images for p in cs)
-            if key in seen:
-                continue
-            seen.add(key)
-            if fpp(cs) == 1:
-                continue
-            idx = epsilon_index(indicatrix_of(cs), epsilon)
-            assert idx is not DIVERGES
-            best = max(best, idx)
-    return best
-
-
 def to_text(f: IndicatrixPoly) -> str:
     """Text form like "2/3 + 1/3*x^3"."""
     parts = []
@@ -304,26 +257,3 @@ def to_text(f: IndicatrixPoly) -> str:
         else:
             parts.append(f"{c}*x^{k}")
     return " + ".join(parts)
-
-
-def from_text(text: str) -> IndicatrixPoly:
-    coeffs: dict[int, Fraction] = {}
-    for term in text.split("+"):
-        term = term.strip()
-        if "*" in term:
-            c_str, x_str = term.split("*")
-            k = 1 if x_str.strip() == "x" else int(x_str.strip().split("^")[1])
-        else:
-            c_str, k = term, 0
-        coeffs[k] = coeffs.get(k, Fraction(0)) + Fraction(c_str.strip())
-    top = max(coeffs)
-    return IndicatrixPoly(tuple(coeffs.get(k, Fraction(0)) for k in range(top + 1)))
-
-
-def to_json(f: IndicatrixPoly) -> str:
-    """JSON array of coefficient strings "p/q", dense from the constant term."""
-    return json.dumps([f"{c.numerator}/{c.denominator}" for c in f.coeffs])
-
-
-def from_json(text: str) -> IndicatrixPoly:
-    return IndicatrixPoly(tuple(Fraction(s) for s in json.loads(text)))

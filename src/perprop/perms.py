@@ -57,9 +57,6 @@ class Permutation:
             inv[j] = i
         return Permutation(tuple(inv))
 
-    def is_identity(self) -> bool:
-        return all(j == i for i, j in enumerate(self.images))
-
     def cycle_string(self) -> str:
         """Disjoint-cycle text form, e.g. "(0 1 2)(3 4)"; identity is "()"."""
         seen = [False] * self.degree

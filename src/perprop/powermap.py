@@ -18,9 +18,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from . import cyclotomic as cyc
+from .bounds import sqrt_lower, sqrt_upper
 from .perms import PermSet, Permutation, coset, permset
 
 
@@ -257,20 +258,6 @@ class OrbitReport:
     escape_index: int | None = None  # first iterate certified past the radius
 
 
-def _sqrt_upper(x, bits: int = 64) -> Fraction:
-    x = Fraction(x)
-    s = isqrt(x.numerator * x.denominator << (2 * bits))
-    return Fraction(s + 1, x.denominator << bits)
-
-
-def _sqrt_lower(x, bits: int = 64) -> Fraction:
-    x = Fraction(x)
-    if x < 0:
-        return Fraction(0)
-    s = isqrt(x.numerator * x.denominator << (2 * bits))
-    return Fraction(s, x.denominator << bits)
-
-
 def _exceeds_radius(z, c, e: int) -> bool:
     """Certified check that every embedding of z exceeds 1 + max |embedding of c|.
 
@@ -293,11 +280,11 @@ def _exceeds_radius(z, c, e: int) -> bool:
             return False
     for bits in _SLOW_BITS:
         z_sq = cyc.embedding_abs_sq_intervals(z, e, bits)
-        z_lo = min(_sqrt_lower(iv[0], bits) for iv in z_sq)
-        z_hi = min(_sqrt_upper(iv[1], bits) for iv in z_sq)
+        z_lo = min(sqrt_lower(iv[0], bits) for iv in z_sq)
+        z_hi = min(sqrt_upper(iv[1], bits) for iv in z_sq)
         c_sq = cyc.embedding_abs_sq_intervals(c, e, bits)
-        r_hi = 1 + max(_sqrt_upper(iv[1], bits) for iv in c_sq)
-        r_lo = 1 + max(_sqrt_lower(iv[0], bits) for iv in c_sq)
+        r_hi = 1 + max(sqrt_upper(iv[1], bits) for iv in c_sq)
+        r_lo = 1 + max(sqrt_lower(iv[0], bits) for iv in c_sq)
         if z_lo > r_hi:
             return True
         if z_hi <= r_lo:

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
+from .cyclotomic import poly_divmod, poly_mulmod
+
 Element = tuple[int, ...]
 
 
@@ -119,18 +121,11 @@ class ResidueField:
     def neg(self, a: Element) -> Element:
         return tuple(-x % self.p for x in a)
 
-    def scalar_mul(self, k: int, a: Element) -> Element:
-        return tuple(k * x % self.p for x in a)
-
     def mul(self, a: Element, b: Element) -> Element:
         if self.f == 1:
             return (a[0] * b[0] % self.p,)
-        conv = [0] * (2 * self.f - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    conv[i + j] += x * y
-        return tuple(_poly_mod(conv, self.modulus, self.p))
+        p = self.p
+        return tuple([c % p for c in poly_mulmod(a, b, self.modulus)])
 
     def pow(self, a: Element, k: int) -> Element:
         result = self.one
@@ -147,86 +142,7 @@ class ResidueField:
             raise ZeroDivisionError("inverse of zero")
         if self.f == 1:
             return (pow(a[0], -1, self.p),)
-        # extended Euclid in F_p[x] against the modulus
-        r0, r1 = list(self.modulus), _strip(list(a))
-        s0, s1 = [0], [1]
-        while _degree(r1) > 0:
-            q, rem = _poly_divmod(r0, r1, self.p)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _strip(
-                [
-                    (x - y) % self.p
-                    for x, y in _zip_longest(s0, _poly_mul(q, s1, self.p))
-                ]
-            )
-        lead_inv = pow(r1[0], -1, self.p)
-        out = [c * lead_inv % self.p for c in s1]
-        out = out[: self.f] + [0] * (self.f - len(out))
-        return tuple(out[: self.f])
-
-    def order_of(self, a: Element) -> int:
-        if a == self.zero:
-            raise ValueError("zero has no multiplicative order")
-        k = 1
-        x = a
-        while x != self.one:
-            x = self.mul(x, a)
-            k += 1
-        return k
-
-
-def _strip(poly: list[int]) -> list[int]:
-    while len(poly) > 1 and poly[-1] == 0:
-        poly.pop()
-    return poly
-
-
-def _degree(poly: list[int]) -> int:
-    return len(_strip(list(poly))) - 1
-
-
-def _zip_longest(a: list[int], b: list[int]):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
-
-
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _poly_divmod(num: list[int], den: list[int], p: int):
-    num = _strip(list(num))
-    den = _strip(list(den))
-    if den == [0]:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(den[-1], -1, p)
-    quot = [0] * max(len(num) - len(den) + 1, 1)
-    while _degree(num) >= _degree(den) and num != [0]:
-        shift = len(num) - len(den)
-        factor = num[-1] * inv_lead % p
-        quot[shift] = factor
-        for i, c in enumerate(den):
-            num[shift + i] = (num[shift + i] - factor * c) % p
-        num = _strip(num)
-    return _strip(quot), num
-
-
-def _poly_mod(poly: list[int], modulus: tuple[int, ...], p: int) -> list[int]:
-    # modulus is monic of degree f; return remainder padded to length f
-    f = len(modulus) - 1
-    rem = [c % p for c in poly]
-    for i in range(len(rem) - 1, f - 1, -1):
-        c = rem[i]
-        if c:
-            for j in range(f + 1):
-                rem[i - f + j] = (rem[i - f + j] - c * modulus[j]) % p
-    rem = rem[:f]
-    return rem + [0] * (f - len(rem))
+        return self.pow(a, self.q - 2)
 
 
 def _frobenius_power(base: list[int], modulus: tuple[int, ...], p: int) -> list[int]:
@@ -236,17 +152,27 @@ def _frobenius_power(base: list[int], modulus: tuple[int, ...], p: int) -> list[
     k = p
     while k:
         if k & 1:
-            result = _poly_mod(_poly_mul(result, b, p), modulus, p)
-        b = _poly_mod(_poly_mul(b, b, p), modulus, p)
+            result = [c % p for c in poly_mulmod(result, b, modulus)]
+        b = [c % p for c in poly_mulmod(b, b, modulus)]
         k >>= 1
     return result
 
 
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _strip(list(a)), _strip(list(b))
-    while b != [0]:
-        _, rem = _poly_divmod(a, b, p)
-        a, b = b, rem
+def _poly_gcd(a, b, p: int) -> list[int]:
+    """A gcd over F_p of integer coefficient sequences (constant first): its
+    length minus one is its degree, and [] means both are zero mod p."""
+
+    def strip(u):
+        u = [c % p for c in u]
+        while u and u[-1] == 0:
+            u.pop()
+        return u
+
+    a, b = strip(a), strip(b)
+    while b:
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        a, b = b, strip(poly_divmod(a, b)[1])
     return a
 
 
@@ -256,14 +182,12 @@ def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
     # whose factor degrees are incomparable, like {3,2,1} at f=6)
     f = len(modulus) - 1
     checkpoints = {f // r for r in range(2, f + 1) if f % r == 0 and is_prime(r)}
-    t = _poly_mod([0, 1], modulus, p)
-    x = list(t)
+    x = t = [0, 1] + [0] * (f - 2)  # f >= 2
     for step in range(1, f + 1):
         t = _frobenius_power(t, modulus, p)
-        t = t + [0] * (f - len(t))
         if step in checkpoints:
-            diff = _strip([(u - v) % p for u, v in zip(t, x)])
-            if _degree(_poly_gcd(list(modulus), diff, p)) != 0:
+            diff = [u - v for u, v in zip(t, x)]
+            if len(_poly_gcd(modulus, diff, p)) != 1:
                 return False
         if step == f and t != x:
             return False

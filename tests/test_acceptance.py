@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from statistics import median
 
 from perprop.bounds import error_term
 from perprop.dynamics import (
@@ -58,14 +59,6 @@ from perprop.residue_fields import (
 from perprop.wreath import iterated_wreath, wreath_order
 
 F = Fraction
-
-
-def _median(values):
-    ordered = sorted(values)
-    k = len(ordered)
-    if k % 2:
-        return ordered[k // 2]
-    return (ordered[k // 2 - 1] + ordered[k // 2]) / 2
 
 
 def _recursion_fpp(group, n) -> F:
@@ -240,8 +233,8 @@ def test_criterion_07_decay_evidence_regime_b():
             low_bucket.append(proportion)
         elif 10_000 <= p <= 100_000:
             high_bucket.append(proportion)
-    med_low = _median(low_bucket)
-    med_high = _median(high_bucket)
+    med_low = median(low_bucket)
+    med_high = median(high_bucket)
     assert med_high < med_low
     print(f"ACCEPTANCE 7 PASS: x^2+1 periodic counts never exceed the 20th "
           f"image size; median proportion falls {float(med_low):.4f} -> "

@@ -12,6 +12,7 @@ from perprop.bounds import (
     murty_deviation,
     proportion_bound,
     ramified_bound,
+    sqrt_lower,
     sqrt_upper,
 )
 from perprop.perms import cyclic_group, symmetric_group, trace
@@ -20,11 +21,14 @@ F = Fraction
 
 
 def test_sqrt_upper_is_upper_and_tight():
-    for q in (2, 7, 10**4, 10**9 + 7, 144):
-        up = sqrt_upper(q)
-        assert up * up >= q
-        assert float(up) - math.sqrt(q) < 1e-9
-    assert sqrt_upper(144) == 12
+    for x in (2, 7, 10**4, 10**9 + 7, 144, F(1, 3), F(10**20, 7), F(2, 10**9)):
+        up, low = sqrt_upper(x), sqrt_lower(x)
+        assert low * low <= x <= up * up
+        assert up - low <= F(1, 2**64)
+    for x, root in ((144, 12), (F(9, 4), F(3, 2)), (0, 0)):
+        assert sqrt_upper(x) == sqrt_lower(x) == root
+    assert sqrt_lower(F(-1, 5)) == 0
+    assert sqrt_upper(F(1, 3), 8) - sqrt_lower(F(1, 3), 8) <= F(1, 2**8)
 
 
 def test_genus_bound_examples():

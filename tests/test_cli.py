@@ -1,5 +1,8 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -248,3 +251,27 @@ def test_c_with_leading_minus(capsys, argv):
     code, out, _ = run(capsys, *argv, "-c", "-1+z")
     assert (code, out) == run(capsys, *argv, "-c=-1+z")[:2]
     assert code == 0 and out
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_decay_experiment_script_runs(tmp_path):
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "decay_experiment.py"), "2000", str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "== x2plus1:" in done.stdout and "== x3plus1:" in done.stdout
+    assert (tmp_path / "x2plus1_N2000.csv").exists()
+
+
+def test_bound_vs_measured_script_runs():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "bound_vs_measured.py"), "3", "1", "1", "3"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "VIOLATION" not in done.stdout
+    rows = done.stdout.splitlines()[2:]
+    assert len(rows) == 2 and all(row.endswith(",ok") for row in rows)

@@ -27,6 +27,7 @@ from perprop.residue_fields import (
     primes_above,
     primes_up_to,
 )
+from test_residue_fields import _divides, _monic_polys
 
 
 def brute_periodic(successor) -> frozenset:
@@ -86,6 +87,27 @@ def test_general_map_rejects_bad_reduction():
     # x^2 / x shares the root 0
     with pytest.raises(ValueError):
         general_map(field, [0, 0, 1], [0, 1])
+
+
+def test_general_map_good_reduction_matches_brute_force():
+    # every numerator/denominator pair of degree <= 2 over F_p: rejected
+    # exactly when one is zero or a monic polynomial of degree 1 or 2
+    # divides both (the coefficient lists are constant first)
+    for p in (2, 3, 5):
+        field = make_field(p, 1)
+        polys = [[i // p**j % p for j in range(3)] for i in range(p**3)]
+        monics = [g for k in (1, 2) for g in _monic_polys(p, k)]
+        for num in polys:
+            for den in polys:
+                expected = not any(num) or not any(den) or any(
+                    _divides(g, num, p) and _divides(g, den, p) for g in monics
+                )
+                try:
+                    general_map(field, num, den)
+                    raised = False
+                except ValueError:
+                    raised = True
+                assert raised == expected, (p, num, den)
 
 
 def test_general_map_infinity_rules():

@@ -13,15 +13,9 @@ from perprop.indicatrix import (
     _endpoint_step,
     compose,
     derivative_at_one,
-    derivative_value,
     epsilon_index,
-    from_json,
-    from_text,
     indicatrix_of,
     iterate_at_zero,
-    max_epsilon_index_over_cosets,
-    second_derivative_value,
-    to_json,
     to_text,
     value_at,
 )
@@ -205,11 +199,13 @@ def test_monotone_strictly_increasing_sequence():
 
 
 def test_convexity_on_grid():
-    grid = [F(k, 16) for k in range(1, 17)]
+    # increasing and convex on [0, 1]: on the 1/16 grid the values strictly
+    # increase and the secant slopes do not decrease
     for phi in (PHI_C2, PHI_C3, PHI_S3):
-        for x in grid:
-            assert derivative_value(phi, x) > 0
-            assert second_derivative_value(phi, x) >= 0
+        values = [value_at(phi, F(k, 16)) for k in range(17)]
+        slopes = [b - a for a, b in zip(values, values[1:])]
+        assert all(s > 0 for s in slopes)
+        assert all(s <= t for s, t in zip(slopes, slopes[1:]))
 
 
 def test_x_below_phi_below_one_on_unit_interval():
@@ -233,18 +229,8 @@ def test_compose_rejects_large_degrees():
         compose(big, big)
 
 
-def test_text_and_json_round_trip():
+def test_to_text():
     assert to_text(PHI_C3) == "2/3 + 1/3*x^3"
-    assert from_text("2/3 + 1/3*x^3") == PHI_C3
-    assert to_json(PHI_S3) == '["1/3", "1/2", "0/1", "1/6"]'
-    assert from_json(to_json(PHI_S3)) == PHI_S3
-
-
-def test_global_epsilon_index_small_degrees():
-    # degree 2: the only transitive group is C2; its only fpf-bearing coset
-    # is C2 itself, so the global index equals the per-coset one
-    assert max_epsilon_index_over_cosets(2, F(1, 2)) == epsilon_index(PHI_C2, F(1, 2))
-    assert max_epsilon_index_over_cosets(3, F(1, 2)) >= epsilon_index(PHI_S3, F(1, 2))
 
 
 @st.composite

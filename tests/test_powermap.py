@@ -179,13 +179,13 @@ def _certified_all_embeddings_above(z, e, threshold_up) -> bool:
     """Certify min_m |sigma_m(z)| > threshold_up with escalating precision.
     Escaping iterates have no catastrophic cancellation, so low precision
     decides; the cap covers the worst case anyway."""
-    from perprop.powermap import _sqrt_lower, _sqrt_upper
+    from perprop.bounds import sqrt_lower
 
     bits = 128
     cap = sum(abs(x).bit_length() for x in z) + 96
     while True:
         enclosures = cyc.embedding_abs_sq_intervals(z, e, bits)
-        if min(_sqrt_lower(iv[0], bits) for iv in enclosures) > threshold_up:
+        if min(sqrt_lower(iv[0], bits) for iv in enclosures) > threshold_up:
             return True
         if bits >= cap:
             return False
@@ -195,7 +195,7 @@ def _certified_all_embeddings_above(z, e, threshold_up) -> bool:
 def test_escape_soundness_ten_more_iterations():
     # once flagged escaping, ten further exact iterates stay above the radius
     # (checked through exact rational enclosures; floats overflow out here)
-    from perprop.powermap import _sqrt_upper
+    from perprop.bounds import sqrt_upper
 
     for d, e, c in [(2, 1, 1), (3, 1, 1), (3, 3, "z"), (2, 5, "2+2z")]:
         s = CycSetting.make(d, e, c)
@@ -211,7 +211,7 @@ def test_escape_soundness_ten_more_iterations():
                 assert abs(z[0]) > radius
         else:
             radius_up = 1 + max(
-                _sqrt_upper(iv[1], 128)
+                sqrt_upper(iv[1], 128)
                 for iv in cyc.embedding_abs_sq_intervals(s.c, e, 128)
             )
             for _ in range(10):

@@ -47,13 +47,41 @@ def test_make_field_rejects_composite():
         make_field(6, 1)
 
 
-def test_modulus_is_irreducible_no_roots():
-    # brute root check for a few fields: an irreducible quadratic/cubic has no roots
-    for p, f in [(3, 2), (3, 3), (7, 2), (11, 2), (2, 4)]:
-        field = make_field(p, f)
-        for x in range(p):
-            value = sum(c * x**i for i, c in enumerate(field.modulus)) % p
-            assert value != 0, (p, f, x)
+def _monic_polys(p, degree):
+    """Every monic polynomial of the given degree, constant first, in the
+    canonical order (lower coefficients read as base-p digits)."""
+    for idx in range(p**degree):
+        yield tuple(idx // p**j % p for j in range(degree)) + (1,)
+
+
+def _divides(divisor, poly, p):
+    """Trial division of poly by a monic divisor over F_p."""
+    rem = list(poly)
+    k = len(divisor) - 1
+    for i in range(len(rem) - 1, k - 1, -1):
+        c = rem[i] % p
+        for j, d in enumerate(divisor):
+            rem[i - k + j] -= c * d
+    return all(c % p == 0 for c in rem[:k])
+
+
+def test_modulus_is_first_irreducible_by_trial_division():
+    # oracle: the first monic polynomial in the canonical order with no monic
+    # factor of degree 1..f//2 (sees root-free reducibles like (x^2+x+1)^2)
+    for p in (2, 3, 5, 7):
+        for f in range(2, 7):
+            if p**f > 10**4:
+                continue
+            expected = next(
+                poly
+                for poly in _monic_polys(p, f)
+                if not any(
+                    _divides(g, poly, p)
+                    for k in range(1, f // 2 + 1)
+                    for g in _monic_polys(p, k)
+                )
+            )
+            assert make_field(p, f).modulus == expected, (p, f)
 
 
 def test_field_axioms_random_triples():
