@@ -8,10 +8,10 @@ monic long division; the residue fields reduce their results mod p.
 
 Complex embeddings (zeta -> exp(2*pi*i*m/e) for units m mod e) are available
 two ways: fast double-precision values with a rigorous forward error bound,
-and exact rational interval enclosures of |value|^2 built from Taylor series
-for cos/sin with certified remainders (pi itself enclosed via Machin's
-formula).  The interval route is the slow path used only when the float
-error bound cannot decide a comparison.
+and dyadic integer enclosures of |value|^2 (integer numerators over a power
+of two) built from Taylor series for cos/sin with certified remainders (pi
+itself enclosed via Machin's formula).  The enclosures are the slow path used
+only when the float error bound cannot decide a comparison.
 """
 
 from __future__ import annotations
@@ -66,12 +66,21 @@ def poly_divmod(num, den) -> tuple[list[int], list[int]]:
 
 
 def poly_mulmod(a, b, mod) -> list[int]:
-    """Remainder of the integer polynomial product a*b by the monic mod."""
+    """Remainder of the integer polynomial product a*b by the monic mod; a
+    square (b is a) takes n(n+1)/2 coefficient products, not n^2."""
     conv = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                conv[i + j] += x * y
+    if a is b:
+        for i, x in enumerate(a):
+            if x:
+                conv[2 * i] += x * x
+                x2 = 2 * x
+                for j in range(i + 1, len(a)):
+                    conv[i + j] += x2 * a[j]
+    else:
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    conv[i + j] += x * y
     return poly_divmod(conv, mod)[1]
 
 
@@ -113,15 +122,21 @@ def cyc_mul(a, b, e: int) -> tuple[int, ...]:
     return tuple(poly_mulmod(a, b, cyclotomic_polynomial(e)))
 
 
-def cyc_pow(a, k: int, e: int) -> tuple[int, ...]:
-    result = cyc_int(1, e)
-    base = tuple(a)
+def power(x, k: int, mul, one):
+    """x^k by square-and-multiply with the product mul: no product with one
+    and no squaring after the top bit of k; one is returned for k = 0."""
+    result = None
     while k:
         if k & 1:
-            result = cyc_mul(result, base, e)
-        base = cyc_mul(base, base, e)
+            result = x if result is None else mul(result, x)
         k >>= 1
-    return result
+        if k:
+            x = mul(x, x)
+    return one if result is None else result
+
+
+def cyc_pow(a, k: int, e: int) -> tuple[int, ...]:
+    return power(tuple(a), k, lambda x, y: cyc_mul(x, y, e), cyc_int(1, e))
 
 
 def units_mod(e: int) -> list[int]:
@@ -188,27 +203,18 @@ def embedding_abs_floats(a, e: int) -> tuple[list[float], float]:
     return values, err
 
 
-# -- exact rational interval enclosures --------------------------------------
+# -- dyadic integer enclosures -----------------------------------------------
 
-Interval = tuple[Fraction, Fraction]
-
-
-def _iadd(a: Interval, b: Interval) -> Interval:
-    return (a[0] + b[0], a[1] + b[1])
+# cos/sin are carried to bits + GUARD_BITS fractional bits
+GUARD_BITS = 40
 
 
-def _iscale(a: Interval, c: Fraction) -> Interval:
-    x, y = c * a[0], c * a[1]
-    return (x, y) if x <= y else (y, x)
-
-
-def _isquare(a: Interval) -> Interval:
-    lo, hi = a
+def _isquare(lo: int, hi: int) -> tuple[int, int]:
     if lo >= 0:
-        return (lo * lo, hi * hi)
+        return lo * lo, hi * hi
     if hi <= 0:
-        return (hi * hi, lo * lo)
-    return (Fraction(0), max(lo * lo, hi * hi))
+        return hi * hi, lo * lo
+    return 0, max(lo * lo, hi * hi)
 
 
 def _atan_inv_fixed(x: int, prec: int) -> tuple[int, int]:
@@ -227,7 +233,7 @@ def _atan_inv_fixed(x: int, prec: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def pi_interval(bits: int) -> Interval:
+def pi_interval(bits: int) -> tuple[Fraction, Fraction]:
     """Rational enclosure of pi via Machin's formula, in fixed point."""
     prec = bits + 10
     a, ea = _atan_inv_fixed(5, prec)
@@ -247,15 +253,16 @@ def _fx_mul(a: tuple[int, int], b: tuple[int, int], scale: int) -> tuple[int, in
 
 
 @lru_cache(maxsize=None)
-def cos_sin_2pi(j: int, e: int, bits: int) -> tuple[Interval, Interval]:
-    """Enclosures of cos(2*pi*j/e) and sin(2*pi*j/e).
+def cos_sin_2pi(j: int, e: int, bits: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Enclosures of cos(2*pi*j/e) and sin(2*pi*j/e), as integer numerators
+    (lo, hi) over 2^(bits + GUARD_BITS).
 
     Taylor series in integer fixed point (value plus error-unit bookkeeping);
     the tail is bounded by twice the next term once the term ratio drops
     below one half.  Pure integer arithmetic keeps high precisions cheap.
     """
     j %= e
-    prec = bits + 40
+    prec = bits + GUARD_BITS
     scale = 1 << prec
     pi_lo, pi_hi = pi_interval(prec)
     pi_v = (pi_lo.numerator << prec) // pi_lo.denominator
@@ -291,26 +298,33 @@ def cos_sin_2pi(j: int, e: int, bits: int) -> tuple[Interval, Interval]:
         raise ArithmeticError("error units exceeded the sanity cap")
     c_err = cos_u + 2 * c_next
     s_err = sin_u + 2 * s_next
-    return (
-        (Fraction(cos_v - c_err, scale), Fraction(cos_v + c_err, scale)),
-        (Fraction(sin_v - s_err, scale), Fraction(sin_v + s_err, scale)),
-    )
+    return (cos_v - c_err, cos_v + c_err), (sin_v - s_err, sin_v + s_err)
 
 
-def embedding_abs_sq_intervals(a, e: int, bits: int) -> list[Interval]:
-    """Exact rational enclosures of |sigma_m(a)|^2 for all units m mod e."""
+def abs_sq_shift(bits: int) -> int:
+    """The enclosures of embedding_abs_sq_intervals are over 2^abs_sq_shift(bits)."""
+    return 2 * (bits + GUARD_BITS)
+
+
+def embedding_abs_sq_intervals(a, e: int, bits: int) -> list[tuple[int, int]]:
+    """Enclosures of |sigma_m(a)|^2 for all units m mod e, as integer
+    numerators (lo, hi) over 2^abs_sq_shift(bits)."""
+    unit = 1 << (bits + GUARD_BITS)
     out = []
     for m in units_mod(e):
-        re_part: Interval = (Fraction(0), Fraction(0))
-        im_part: Interval = (Fraction(0), Fraction(0))
+        re_lo = re_hi = im_lo = im_hi = 0
         for i, c in enumerate(a):
             if c == 0:
                 continue
-            cos_iv, sin_iv = cos_sin_2pi(m * i, e, bits) if e > 1 else (
-                (Fraction(1), Fraction(1)),
-                (Fraction(0), Fraction(0)),
+            (cos_lo, cos_hi), (sin_lo, sin_hi) = (
+                cos_sin_2pi(m * i % e, e, bits) if e > 1 else ((unit, unit), (0, 0))
             )
-            re_part = _iadd(re_part, _iscale(cos_iv, Fraction(c)))
-            im_part = _iadd(im_part, _iscale(sin_iv, Fraction(c)))
-        out.append(_iadd(_isquare(re_part), _isquare(im_part)))
+            if c < 0:
+                cos_lo, cos_hi, sin_lo, sin_hi = cos_hi, cos_lo, sin_hi, sin_lo
+            re_lo += c * cos_lo
+            re_hi += c * cos_hi
+            im_lo += c * sin_lo
+            im_hi += c * sin_hi
+        re_sq, im_sq = _isquare(re_lo, re_hi), _isquare(im_lo, im_hi)
+        out.append((re_sq[0] + im_sq[0], re_sq[1] + im_sq[1]))
     return out

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from . import cyclotomic as cyc
@@ -258,13 +259,58 @@ class OrbitReport:
     escape_index: int | None = None  # first iterate certified past the radius
 
 
+@lru_cache(maxsize=None)
+def _radius_enclosure(c, e: int, bits: int) -> tuple[Fraction, Fraction]:
+    """(r_lo, r_hi) enclosing the escape radius 1 + max |embedding of c|."""
+    den = 1 << cyc.abs_sq_shift(bits)
+    c_sq = cyc.embedding_abs_sq_intervals(c, e, bits)
+    r_lo = 1 + max(sqrt_lower(Fraction(lo, den), bits) for lo, _ in c_sq)
+    r_hi = 1 + max(sqrt_upper(Fraction(hi, den), bits) for _, hi in c_sq)
+    return r_lo, r_hi
+
+
+def _root_square(num: int, shift: int, bits: int) -> tuple[int, int]:
+    """(M, k) with sqrt_lower(x, bits) = isqrt(M) / 2^k and sqrt_upper(x, bits)
+    = ceil(sqrt(M)) / 2^k for x = num / 2^shift: with x = n'/d' in lowest
+    terms, M = n'd' * 4^bits and 2^k = d' * 2^bits, as in bounds.sqrt_*."""
+    t = min(shift, (num & -num).bit_length() - 1) if num else shift
+    k = shift - t + bits
+    return (num >> t) << (k + bits), k
+
+
+def _root_exceeds(num: int, shift: int, bits: int, r: Fraction) -> bool:
+    """sqrt_lower(num / 2^shift, bits) > r >= 0, decided on squares."""
+    m, k = _root_square(num, shift, bits)
+    return m >= ((r.numerator << k) // r.denominator + 1) ** 2
+
+
+def _root_within(num: int, shift: int, bits: int, r: Fraction) -> bool:
+    """sqrt_upper(num / 2^shift, bits) <= r for r >= 0, decided on squares."""
+    m, k = _root_square(num, shift, bits)
+    return m <= ((r.numerator << k) // r.denominator) ** 2
+
+
+def _radius_rung(z, c, e: int, bits: int) -> bool | None:
+    """The radius check at one precision of dyadic integer enclosures: True
+    or False once certified, None while undecided."""
+    shift = cyc.abs_sq_shift(bits)
+    z_sq = cyc.embedding_abs_sq_intervals(z, e, bits)
+    r_lo, r_hi = _radius_enclosure(c, e, bits)
+    if all(_root_exceeds(lo, shift, bits, r_hi) for lo, _ in z_sq):
+        return True
+    if any(_root_within(hi, shift, bits, r_lo) for _, hi in z_sq):
+        return False
+    return None
+
+
 def _exceeds_radius(z, c, e: int) -> bool:
     """Certified check that every embedding of z exceeds 1 + max |embedding of c|.
 
     Double precision with a forward error bound decides almost always; inside
-    the guard band the comparison is redone with exact rational interval
-    enclosures at increasing precision.  Undecidable cases count as "no",
-    which only delays the escape certificate, never falsifies it.
+    the guard band the comparison is redone with dyadic integer enclosures at
+    increasing precision, comparing squares so that no square root of an
+    iterate is taken.  Undecidable cases count as "no", which only delays the
+    escape certificate, never falsifies it.
     """
     if e <= 2:
         zi, ci = abs(z[0]), abs(c[0])
@@ -279,16 +325,9 @@ def _exceeds_radius(z, c, e: int) -> bool:
         if min(z_vals) + z_err <= radius_lo * (1 - ESCAPE_GUARD):
             return False
     for bits in _SLOW_BITS:
-        z_sq = cyc.embedding_abs_sq_intervals(z, e, bits)
-        z_lo = min(sqrt_lower(iv[0], bits) for iv in z_sq)
-        z_hi = min(sqrt_upper(iv[1], bits) for iv in z_sq)
-        c_sq = cyc.embedding_abs_sq_intervals(c, e, bits)
-        r_hi = 1 + max(sqrt_upper(iv[1], bits) for iv in c_sq)
-        r_lo = 1 + max(sqrt_lower(iv[0], bits) for iv in c_sq)
-        if z_lo > r_hi:
-            return True
-        if z_hi <= r_lo:
-            return False
+        verdict = _radius_rung(z, c, e, bits)
+        if verdict is not None:
+            return verdict
     return False
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .cyclotomic import poly_divmod, poly_mulmod
+from .cyclotomic import poly_divmod, poly_mulmod, power
 
 Element = tuple[int, ...]
 
@@ -128,14 +128,7 @@ class ResidueField:
         return tuple([c % p for c in poly_mulmod(a, b, self.modulus)])
 
     def pow(self, a: Element, k: int) -> Element:
-        result = self.one
-        base = a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
+        return power(a, k, self.mul, self.one)
 
     def inv(self, a: Element) -> Element:
         if all(x == 0 for x in a):
@@ -146,16 +139,8 @@ class ResidueField:
 
 
 def _frobenius_power(base: list[int], modulus: tuple[int, ...], p: int) -> list[int]:
-    # base^p mod modulus by square and multiply
-    result = [1]
-    b = list(base)
-    k = p
-    while k:
-        if k & 1:
-            result = [c % p for c in poly_mulmod(result, b, modulus)]
-        b = [c % p for c in poly_mulmod(b, b, modulus)]
-        k >>= 1
-    return result
+    # base^p mod modulus; p >= 2, so the result is a reduced product
+    return power(base, p, lambda x, y: [c % p for c in poly_mulmod(x, y, modulus)], [1])
 
 
 def _poly_gcd(a, b, p: int) -> list[int]:

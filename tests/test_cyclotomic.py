@@ -1,10 +1,13 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from perprop.cyclotomic import (
+    GUARD_BITS,
+    abs_sq_shift,
     cos_sin_2pi,
     cyc_add,
     cyc_int,
@@ -100,7 +103,10 @@ def test_pi_interval_encloses_pi():
 
 @pytest.mark.parametrize("j, e", [(0, 3), (1, 3), (2, 3), (1, 5), (3, 8), (7, 12)])
 def test_cos_sin_enclosures_match_cmath(j, e):
-    (clo, chi), (slo, shi) = cos_sin_2pi(j, e, 64)
+    scale = 2 ** (64 + GUARD_BITS)
+    (clo, chi), (slo, shi) = (
+        (F(lo, scale), F(hi, scale)) for lo, hi in cos_sin_2pi(j, e, 64)
+    )
     z = cmath.exp(2j * cmath.pi * j / e)
     assert float(clo) - 1e-12 <= z.real <= float(chi) + 1e-12
     assert float(slo) - 1e-12 <= z.imag <= float(shi) + 1e-12
@@ -123,7 +129,8 @@ def test_embedding_intervals_contain_float_values():
     e = 5
     a = parse_cyclotomic("1+2z+z^3", e)
     values, _ = embedding_abs_floats(a, e)
-    enclosures = embedding_abs_sq_intervals(a, e, 64)
+    den = 2 ** abs_sq_shift(64)
+    enclosures = [(F(lo, den), F(hi, den)) for lo, hi in embedding_abs_sq_intervals(a, e, 64)]
     assert len(values) == len(enclosures)
     for v, (lo, hi) in zip(values, enclosures):
         assert float(lo) - 1e-9 <= v * v <= float(hi) + 1e-9
@@ -138,4 +145,17 @@ def test_embedding_of_rational_integer():
     for v in values:
         assert abs(v - 7.0) <= err + 1e-12
     for lo, hi in embedding_abs_sq_intervals(a, e, 64):
-        assert lo <= 49 <= hi
+        assert lo <= 49 << abs_sq_shift(64) <= hi
+
+
+@pytest.mark.parametrize("e", [1, 3, 4, 5, 7, 8, 12])
+def test_cyc_pow_matches_repeated_multiplication(e):
+    rng = random.Random(e)
+    phi = euler_phi(e)
+    elements = [(0,) * phi, cyc_int(1, e), cyc_int(-1, e)]
+    elements += [tuple(rng.randint(-3, 3) for _ in range(phi)) for _ in range(4)]
+    for a in elements:
+        expected = cyc_int(1, e)
+        for k in range(41):
+            assert cyc_pow(a, k, e) == expected
+            expected = cyc_mul(expected, a, e)

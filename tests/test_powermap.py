@@ -1,16 +1,25 @@
+import itertools
+import random
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import floor, gcd
 
 import pytest
 
 from perprop import cyclotomic as cyc
+from perprop.bounds import sqrt_lower, sqrt_upper
 from perprop.indicatrix import indicatrix_of, value_at
 from perprop.perms import fpp, is_transitive, mean_trace, trace
 from perprop.powermap import (
+    _SLOW_BITS,
     AffineElement,
     CosetStatus,
     CycSetting,
     Preperiodicity,
+    _exceeds_radius,
+    _radius_rung,
+    _root_exceeds,
+    _root_within,
     b_n_permset,
     build_B1,
     classify_regime,
@@ -179,13 +188,12 @@ def _certified_all_embeddings_above(z, e, threshold_up) -> bool:
     """Certify min_m |sigma_m(z)| > threshold_up with escalating precision.
     Escaping iterates have no catastrophic cancellation, so low precision
     decides; the cap covers the worst case anyway."""
-    from perprop.bounds import sqrt_lower
-
     bits = 128
     cap = sum(abs(x).bit_length() for x in z) + 96
     while True:
+        den = 1 << cyc.abs_sq_shift(bits)
         enclosures = cyc.embedding_abs_sq_intervals(z, e, bits)
-        if min(sqrt_lower(iv[0], bits) for iv in enclosures) > threshold_up:
+        if min(sqrt_lower(Fraction(lo, den), bits) for lo, _ in enclosures) > threshold_up:
             return True
         if bits >= cap:
             return False
@@ -195,8 +203,6 @@ def _certified_all_embeddings_above(z, e, threshold_up) -> bool:
 def test_escape_soundness_ten_more_iterations():
     # once flagged escaping, ten further exact iterates stay above the radius
     # (checked through exact rational enclosures; floats overflow out here)
-    from perprop.bounds import sqrt_upper
-
     for d, e, c in [(2, 1, 1), (3, 1, 1), (3, 3, "z"), (2, 5, "2+2z")]:
         s = CycSetting.make(d, e, c)
         report = zero_orbit_report(s, 100)
@@ -210,13 +216,138 @@ def test_escape_soundness_ten_more_iterations():
                 z = cyc.cyc_add(cyc.cyc_pow(z, d, e), s.c)
                 assert abs(z[0]) > radius
         else:
+            den = 1 << cyc.abs_sq_shift(128)
             radius_up = 1 + max(
-                sqrt_upper(iv[1], 128)
-                for iv in cyc.embedding_abs_sq_intervals(s.c, e, 128)
+                sqrt_upper(Fraction(hi, den), 128)
+                for _, hi in cyc.embedding_abs_sq_intervals(s.c, e, 128)
             )
             for _ in range(10):
                 z = cyc.cyc_add(cyc.cyc_pow(z, d, e), s.c)
                 assert _certified_all_embeddings_above(z, e, radius_up)
+
+
+@lru_cache(maxsize=None)
+def _fraction_cos_sin(j, e, bits):
+    unit = 1 << (bits + cyc.GUARD_BITS)
+    return [(Fraction(lo, unit), Fraction(hi, unit)) for lo, hi in cyc.cos_sin_2pi(j, e, bits)]
+
+
+def _fraction_abs_sq(a, e, bits):
+    """Oracle: the Fraction interval enclosures of |sigma_m(a)|^2 that the
+    radius check used before its dyadic integer form (same cos/sin inputs)."""
+
+    def scaled(iv, c):
+        x, y = c * iv[0], c * iv[1]
+        return (x, y) if x <= y else (y, x)
+
+    def square(lo, hi):
+        if lo >= 0:
+            return lo * lo, hi * hi
+        if hi <= 0:
+            return hi * hi, lo * lo
+        return Fraction(0), max(lo * lo, hi * hi)
+
+    out = []
+    for m in cyc.units_mod(e):
+        re_lo = re_hi = im_lo = im_hi = Fraction(0)
+        for i, c in enumerate(a):
+            if c == 0:
+                continue
+            cos_iv, sin_iv = _fraction_cos_sin(m * i, e, bits)
+            x, y = scaled(cos_iv, c)
+            re_lo, re_hi = re_lo + x, re_hi + y
+            x, y = scaled(sin_iv, c)
+            im_lo, im_hi = im_lo + x, im_hi + y
+        (a0, a1), (b0, b1) = square(re_lo, re_hi), square(im_lo, im_hi)
+        out.append((a0 + b0, a1 + b1))
+    return out
+
+
+def _fraction_radius(c_sq, bits):
+    """Oracle: (r_lo, r_hi) of the former radius check."""
+    r_lo = 1 + max(sqrt_lower(iv[0], bits) for iv in c_sq)
+    r_hi = 1 + max(sqrt_upper(iv[1], bits) for iv in c_sq)
+    return r_lo, r_hi
+
+
+def _fraction_rung(z_sq, radius, bits):
+    """Oracle: one rung of the former radius check, on square roots."""
+    r_lo, r_hi = radius
+    z_lo = min(sqrt_lower(iv[0], bits) for iv in z_sq)
+    z_hi = min(sqrt_upper(iv[1], bits) for iv in z_sq)
+    if z_lo > r_hi:
+        return True
+    if z_hi <= r_lo:
+        return False
+    return None
+
+
+def test_square_comparisons_match_square_roots():
+    # the decisions on squares equal sqrt_lower(x) > r and sqrt_upper(x) <= r
+    # on exact squares of dyadic rationals next to r and their neighbours
+    radii = [Fraction(1), Fraction(2), Fraction(3, 2), Fraction(5, 4),
+             1 + Fraction(1, 2**20), Fraction(7, 3), Fraction(10**9 + 7, 10**9)]
+    cases = 0
+    for bits in (0, 1, 5, *_SLOW_BITS):
+        for shift in (0, 1, 6, 40, cyc.abs_sq_shift(bits)):
+            for r in radii:
+                half = shift // 2
+                near = [(r.numerator << half) // r.denominator + k for k in range(-2, 3)]
+                nums = {0, 1} | {y * y << (shift - 2 * half) for y in near}
+                nums |= {floor(r * r * 2**shift) + k for k in range(-2, 3)}
+                for num in nums:
+                    x = Fraction(num, 1 << shift)
+                    assert _root_exceeds(num, shift, bits, r) == (sqrt_lower(x, bits) > r)
+                    if num >= 0:  # upper ends of enclosures of squares
+                        assert _root_within(num, shift, bits, r) == (sqrt_upper(x, bits) <= r)
+                    cases += 1
+    assert cases > 2000
+
+
+# the oracle test stops an orbit once its coefficients exceed this many bits
+# in total; the Fraction oracle is slow on larger coefficients
+_ORACLE_ORBIT_BITS = 2048
+
+
+def test_radius_rungs_match_fraction_oracle():
+    # every c with coefficients in [-1, 1] for d in 2..5, e in {3, 4, 5, 8}
+    # (704 settings) plus 40 seeded such c per d for e = 7 (160 of 2912):
+    # each of the 3381 iterates the orbit test visits below the bit cap has,
+    # at every rung, the oracle's enclosures and True/False/undecided outcome
+    def coefficient_choices(e):
+        cs = [c for c in itertools.product((-1, 0, 1), repeat=cyc.euler_phi(e)) if any(c)]
+        return random.Random(e).sample(cs, 40) if e == 7 else cs
+
+    settings = iterates = 0
+    outcomes = {True: 0, False: 0, None: 0}
+    for e in (3, 4, 5, 7, 8):
+        choices = coefficient_choices(e)
+        radii = {
+            c: [_fraction_radius(_fraction_abs_sq(c, e, bits), bits) for bits in _SLOW_BITS]
+            for c in choices
+        }
+        for d, c in itertools.product(range(2, 6), choices):
+            settings += 1
+            seen = {cyc.cyc_zero(e)}
+            z = cyc.cyc_zero(e)
+            while True:
+                z = cyc.cyc_add(cyc.cyc_pow(z, d, e), c)
+                if z in seen or sum(abs(x).bit_length() for x in z) > _ORACLE_ORBIT_BITS:
+                    break
+                seen.add(z)
+                iterates += 1
+                for bits, radius in zip(_SLOW_BITS, radii[c]):
+                    den = 1 << cyc.abs_sq_shift(bits)
+                    z_sq = _fraction_abs_sq(z, e, bits)
+                    got = cyc.embedding_abs_sq_intervals(z, e, bits)
+                    assert [(Fraction(lo, den), Fraction(hi, den)) for lo, hi in got] == z_sq
+                    outcome = _fraction_rung(z_sq, radius, bits)
+                    assert _radius_rung(z, c, e, bits) is outcome, (d, e, c, bits)
+                    outcomes[outcome] += 1
+                if _exceeds_radius(z, c, e):
+                    break
+    assert (settings, iterates) == (864, 3381)
+    assert min(outcomes.values()) > 0
 
 
 def test_mixed_escape_settles_as_undecided():
