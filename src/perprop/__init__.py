@@ -63,8 +63,7 @@ from .dynamics import (
     build_graph,
     general_map,
     image_size_at,
-    image_size_sequence,
-    is_bijective,
+    image_sizes_and_periodic,
     periodic_by_cycles,
     periodic_by_image_iteration,
     periodic_count,

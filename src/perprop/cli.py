@@ -16,6 +16,7 @@ command-line flags override the config, which overrides built-ins.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -74,21 +75,13 @@ def read_config(path: str) -> dict[str, str]:
 
 def _merged(args, key: str, conv, default=None, required: bool = False):
     value = getattr(args, key, None)
-    if value is None and args.config:
-        raw = _CONFIG_CACHE.setdefault(args.config, None)
-        if raw is None:
-            raw = read_config(args.config)
-            _CONFIG_CACHE[args.config] = raw
-        if key in raw:
-            value = raw[key]
+    if value is None:
+        value = args.config_values.get(key)
     if value is None:
         if required:
             raise UsageError(f"missing required option --{key.replace('_', '-')}")
         return default
     return conv(value) if isinstance(value, str) else value
-
-
-_CONFIG_CACHE: dict[str, dict[str, str] | None] = {}
 
 
 def _bool_conv(text: str) -> bool:
@@ -201,8 +194,7 @@ class SweepRow:
 def compute_row(setting: pm.CycSetting, P: rf.PrimeOfK) -> SweepRow:
     reduced = dyn.reduce_map(setting, P)
     graph = dyn.build_graph(reduced)
-    periodic = dyn.periodic_count(graph)
-    sizes = dyn.image_size_sequence(graph, IMAGE_SIZES_SHOWN)
+    sizes, periodic = dyn.image_sizes_and_periodic(graph, IMAGE_SIZES_SHOWN)
     return SweepRow(
         p=P.p,
         f=P.f,
@@ -211,7 +203,7 @@ def compute_row(setting: pm.CycSetting, P: rf.PrimeOfK) -> SweepRow:
         periodic=periodic,
         total=graph.size,
         proportion=Fraction(periodic, graph.size),
-        bijective=dyn.is_bijective(graph),
+        bijective=sizes[1] == sizes[0],
         image_sizes=sizes,
     )
 
@@ -405,6 +397,7 @@ def cmd_bound(args) -> int:
 
 # -- parser -------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="perprop",
@@ -483,6 +476,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(_attach_signed_c(argv))
     try:
+        args.config_values = read_config(args.config) if args.config else {}
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -9,6 +9,13 @@ sizes stabilize (the stable set is the intersection of all forward images).
 Their agreement is part of the test suite, and the image-size sequence is
 the quantity the effective bounds control.
 
+A sweep row asks three questions of a graph, all answered by one walk of the
+forward images (image_sizes_and_periodic): the first image sizes, whether
+the map is bijective (the first image is everything), and the periodic
+count.  That count is the last size if the walk stabilized; otherwise it
+comes from pointer doubling on the last image only, relabelled by position,
+since that image is closed under the map and holds every periodic point.
+
 Every map is evaluated by one array kernel over blocks of BLOCK indices: the
 indices split into their base-p digits, an (f, block) array of coefficients
 over F_p, and products are convolutions reduced by the monic modulus.  x^d + c
@@ -284,10 +291,42 @@ def periodic_by_image_iteration(g: FunctionalGraph) -> tuple[frozenset[int], tup
     return frozenset(img.tolist()), tuple(sizes)
 
 
-def image_size_sequence(g: FunctionalGraph, max_entries: int) -> tuple[int, ...]:
-    """First entries of the image-size sequence, stopping at stability or at
-    max_entries, whichever comes first (the full space always counts)."""
-    return tuple(img.size for img in islice(_forward_images(g), max(max_entries, 1)))
+def image_sizes_and_periodic(
+    g: FunctionalGraph, max_entries: int
+) -> tuple[tuple[int, ...], int]:
+    """The first entries of the image-size sequence, stopping at stability or
+    at max_entries (the full space always counts), and the periodic count,
+    from one forward-image walk.  If the walk stopped before stabilizing, the
+    count is taken by pointer doubling on its last image, which the map sends
+    into itself and which holds every periodic point."""
+    sizes = []
+    for img in islice(_forward_images(g), max(max_entries, 1)):
+        sizes.append(img.size)
+    if len(sizes) >= 2 and sizes[-1] == sizes[-2]:
+        return tuple(sizes), sizes[-1]
+    position = np.empty(g.size, dtype=np.int64)
+    position[img] = np.arange(img.size)
+    return tuple(sizes), _power_image_count(position[g.successor[img]])
+
+
+def _power_image_count(successor: np.ndarray, n: Optional[int] = None) -> int:
+    """|image of the n-th compositional power| of a successor array, by binary
+    powering in O(log n) gathers.  n defaults to 2^ceil(log2 size): after
+    that many steps every point has entered its cycle, so the image is the
+    periodic set."""
+    if n is None:
+        n = 1 << (successor.size - 1).bit_length()
+    t_power = successor
+    result = None
+    while n:
+        if n & 1:
+            result = t_power if result is None else t_power[result]
+        n >>= 1
+        if n:
+            t_power = t_power[t_power]
+    mask = np.zeros(successor.size, dtype=bool)
+    mask[result] = True
+    return int(np.count_nonzero(mask))
 
 
 def image_size_at(g: FunctionalGraph, n: int) -> int:
@@ -300,38 +339,13 @@ def image_size_at(g: FunctionalGraph, n: int) -> int:
 
 
 def iterated_map_image_count(g: FunctionalGraph, n: int) -> int:
-    """|image of the n-th compositional power| by binary composition; same
-    value as image_size_at but O(log n) array passes, for large n."""
+    """|image of the n-th compositional power|; same value as image_size_at
+    but O(log n) array passes, for large n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    t_power = g.successor
-    result = None
-    m = n
-    while m:
-        if m & 1:
-            result = t_power if result is None else t_power[result]
-        m >>= 1
-        if m:
-            t_power = t_power[t_power]
-    mask = np.zeros(g.size, dtype=bool)
-    mask[result] = True
-    return int(np.count_nonzero(mask))
+    return _power_image_count(g.successor, n)
 
 
 def periodic_count(g: FunctionalGraph) -> int:
-    """|periodic set| by successor pointer doubling: after at least size steps
-    every point has entered its cycle, so the image is exactly the cycles."""
-    t = g.successor
-    steps = 1
-    while steps < g.size:
-        t = t[t]
-        steps *= 2
-    mask = np.zeros(g.size, dtype=bool)
-    mask[t] = True
-    return int(np.count_nonzero(mask))
-
-
-def is_bijective(g: FunctionalGraph) -> bool:
-    mask = np.zeros(g.size, dtype=bool)
-    mask[g.successor] = True
-    return bool(mask.all())
+    """|periodic set| by successor pointer doubling over all points."""
+    return _power_image_count(g.successor)

@@ -66,9 +66,6 @@ class IntervalRational:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def is_exact(self) -> bool:
-        return self.lo == self.hi
-
     def __contains__(self, x) -> bool:
         return self.lo <= Fraction(x) <= self.hi
 

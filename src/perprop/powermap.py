@@ -106,9 +106,6 @@ class AffineElement:
     def as_permutation(self) -> Permutation:
         return Permutation(tuple(self.apply(i) for i in range(self.d)))
 
-    def has_fixed_point(self) -> bool:
-        return self.j % gcd(self.m - 1, self.d) == 0
-
 
 @dataclass(frozen=True)
 class GaloisData:
@@ -126,9 +123,6 @@ class GaloisData:
             raise ValueError(f"multiplier {m} not in A={self.A}")
         rep = AffineElement(m % self.d, 0, self.d).as_permutation()
         return coset(self.G, rep)
-
-    def b1_permset(self) -> PermSet:
-        return permset((a.as_permutation() for a in self.B1), kind="group")
 
 
 def galois_A(d: int, e: int) -> tuple[int, ...]:

@@ -232,6 +232,19 @@ def test_config_file_preloads_defaults(tmp_path, capsys):
     assert "7,1,7" not in out
 
 
+def test_config_file_is_reread_on_every_call(tmp_path, capsys):
+    cfg = tmp_path / "regime.cfg"
+    cfg.write_text("d = 2\nc = 1\n")
+    code, out, _ = run(capsys, "regime", "--config", str(cfg))
+    assert code == 0 and "setting: d=2 e=1 c=1" in out
+    cfg.write_text("d = 3\nc = 1\n")
+    code, out, _ = run(capsys, "regime", "--config", str(cfg))
+    assert code == 0 and "setting: d=3 e=1 c=1" in out
+    cfg.write_text("d = 3\nnot a pair\n")
+    code, _, err = run(capsys, "regime", "--config", str(cfg), "-d", "2", "-c", "1")
+    assert code == 2 and "bad config line" in err
+
+
 def test_epsilon_iteration_cap_is_a_resource_cap(capsys, monkeypatch):
     from perprop import indicatrix
 

@@ -10,8 +10,7 @@ from perprop.dynamics import (
     build_graph,
     general_map,
     image_size_at,
-    image_size_sequence,
-    is_bijective,
+    image_sizes_and_periodic,
     periodic_by_cycles,
     periodic_by_image_iteration,
     periodic_count,
@@ -47,6 +46,11 @@ def brute_periodic(successor) -> frozenset:
         if start in cycle:
             out.add(start)
     return frozenset(out)
+
+
+def is_bijective(g) -> bool:
+    """Oracle: no two points share an image."""
+    return len(set(g.successor.tolist())) == g.size
 
 
 def test_reduce_map_examples():
@@ -182,6 +186,10 @@ def test_algorithms_agree_with_brute_oracle():
         assert periodic_by_cycles(g) == expected
         assert periodic_by_image_iteration(g)[0] == expected
         assert periodic_count(g) == len(expected)
+        for max_entries in (2, 8):
+            sizes, periodic = image_sizes_and_periodic(g, max_entries)
+            assert periodic == len(expected)
+            assert sizes == periodic_by_image_iteration(g)[1][:max_entries]
 
 
 def test_random_rational_maps_agree():
@@ -212,6 +220,8 @@ def test_bijectivity_gcd_oracle():
             c = rng.randrange(p)
             g = build_graph(reduce_map(CycSetting.make(d, 1, c), primes_above(p, 1)[0]))
             assert is_bijective(g) == (gcd(d, p - 1) == 1)
+            sizes, _ = image_sizes_and_periodic(g, 2)
+            assert (sizes[1] == sizes[0]) == (gcd(d, p - 1) == 1)
 
 
 def test_bijective_iff_full_first_image_iff_all_periodic():
@@ -220,6 +230,9 @@ def test_bijective_iff_full_first_image_iff_all_periodic():
         full_first = image_size_at(g, 1) == g.size
         assert is_bijective(g) == full_first
         assert (periodic_count(g) == g.size) == full_first
+        sizes, periodic = image_sizes_and_periodic(g, 8)
+        assert (sizes[1] == sizes[0]) == full_first
+        assert (periodic == g.size) == full_first
 
 
 def test_image_sizes_weakly_decreasing_and_bound_periodic():
@@ -235,8 +248,9 @@ def test_image_sizes_weakly_decreasing_and_bound_periodic():
 def test_image_size_sequence_prefix():
     P7 = primes_above(7, 1)[0]
     g = build_graph(reduce_map(CycSetting.make(3, 1, 1), P7))
-    assert image_size_sequence(g, 8) == (8, 4, 3, 2, 2)
-    assert image_size_sequence(g, 3) == (8, 4, 3)
+    assert image_sizes_and_periodic(g, 8) == ((8, 4, 3, 2, 2), 2)
+    assert image_sizes_and_periodic(g, 3) == ((8, 4, 3), 2)
+    assert image_sizes_and_periodic(g, 1) == ((8,), 2)
     assert image_size_at(g, 1) == 4
     assert image_size_at(g, 2) == 3
     assert image_size_at(g, 50) == 2  # stabilizes early
@@ -363,3 +377,55 @@ def test_general_map_successors_match_scalar_horner():
                     for i in range(field.q + 1)]
         assert build_graph(m).successor.tolist() == expected, (p, num, den)
         done += 1
+
+
+def _former_row_passes(g, max_entries):
+    """Oracle: the three separate passes a sweep row once made.  Image sizes
+    by a mask walk, the periodic count by pointer doubling over all points,
+    and bijectivity by one mask of the successors."""
+    succ = g.successor
+    sizes = [g.size]
+    current = np.arange(g.size)
+    while len(sizes) < max_entries:
+        mask = np.zeros(g.size, dtype=bool)
+        mask[succ[current]] = True
+        image = np.flatnonzero(mask)
+        sizes.append(image.size)
+        if image.size == current.size:
+            break
+        current = image
+    t, steps = succ, 1
+    while steps < g.size:
+        t = t[t]
+        steps *= 2
+    mask = np.zeros(g.size, dtype=bool)
+    mask[t] = True
+    periodic = int(np.count_nonzero(mask))
+    mask = np.zeros(g.size, dtype=bool)
+    mask[succ] = True
+    return tuple(sizes), periodic, bool(mask.all())
+
+
+def test_row_pass_matches_former_passes():
+    # every prime field with p <= 2e4 for x^2 + 1 and x^3 + 1, and every
+    # residue field of degree f >= 2 with q <= 2e4 over Q(zeta_e), e in {3, 5, 8}
+    from perprop.cli import compute_row
+
+    primes = [(1, P) for p in primes_up_to(20_000) for P in primes_above(p, 1)]
+    primes += [(e, P) for e in (3, 5, 8) for P in prime_stream(e, 20_000) if P.f >= 2]
+    assert sum(e > 1 for e, _ in primes) > 40
+    doubled = 0
+    for d in (2, 3):
+        for e, P in primes:
+            setting = CycSetting.make(d, e, 1)
+            g = build_graph(reduce_map(setting, P))
+            for max_entries in (2, 8):
+                sizes, periodic, bijective = _former_row_passes(g, max_entries)
+                assert image_sizes_and_periodic(g, max_entries) == (sizes, periodic), (d, P)
+                assert periodic_count(g) == periodic
+            doubled += sizes[-1] != sizes[-2]
+            row = compute_row(setting, P)
+            assert (row.image_sizes, row.periodic, row.bijective) == (
+                sizes, periodic, sizes[1] == sizes[0]), (d, P)
+            assert row.bijective == bijective
+    assert doubled > 100  # walks cut at 8 images, counted by doubling

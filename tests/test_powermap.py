@@ -9,7 +9,7 @@ import pytest
 from perprop import cyclotomic as cyc
 from perprop.bounds import sqrt_lower, sqrt_upper
 from perprop.indicatrix import indicatrix_of, value_at
-from perprop.perms import fpp, is_transitive, mean_trace, trace
+from perprop.perms import fpp, is_transitive, mean_trace, permset, trace
 from perprop.powermap import (
     _SLOW_BITS,
     AffineElement,
@@ -65,7 +65,7 @@ def test_build_B1_structure():
     assert len(data.B1) == len(data.A) * 3 == 6
     assert {a.m for a in data.B1} == {1, 2}
     assert is_transitive(data.G)
-    assert data.b1_permset().verify_group()
+    assert permset((a.as_permutation() for a in data.B1), kind="group").verify_group()
     # d=2: only translations
     data2 = build_B1(CycSetting.make(2, 1, 1))
     assert len(data2.B1) == 2 and data2.A == (1,)
@@ -116,7 +116,8 @@ def test_affine_permutation_trace_matches_fixed_points():
                 continue
             for j in range(d):
                 elem = AffineElement(m, j, d)
-                assert (trace(elem.as_permutation()) > 0) == elem.has_fixed_point()
+                has_fixed_point = j % gcd(m - 1, d) == 0
+                assert (trace(elem.as_permutation()) > 0) == has_fixed_point
 
 
 def test_regime_table():
@@ -392,7 +393,8 @@ def test_model_fpp_via_indicatrix_matches_group_fpp():
             1 - value_at(indicatrix_of(data.coset_permset(m)), 0) for m in data.A
         ]
         aggregate = sum(per_coset, Fraction(0)) / len(data.A)
-        assert aggregate == fpp(data.b1_permset())
+        b1 = permset((a.as_permutation() for a in data.B1), kind="group")
+        assert aggregate == fpp(b1)
 
 
 def test_b_n_permset_order_and_burnside():
