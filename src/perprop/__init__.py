@@ -12,7 +12,6 @@ from .perms import (
     cyclic_group,
     fpp,
     from_cycles,
-    group_from,
     identity,
     is_transitive,
     mean_trace,
@@ -32,7 +31,7 @@ from .indicatrix import (
     iterate_at_zero,
     value_at,
 )
-from .wreath import WreathElement, coset_wreath, iterated_wreath, wreath_order
+from .wreath import coset_wreath, iterated_wreath, wreath_order
 from .powermap import (
     AffineElement,
     CosetStatus,

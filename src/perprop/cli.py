@@ -94,7 +94,7 @@ def coset_fpp_enclosures(d: int, e: int, n: int):
     """Yield (m, phi, lo, hi) for each multiplier m of the model group over
     Q(zeta_e): phi is the indicatrix of m's level-1 coset and [lo, hi]
     encloses 1 - phi^n(0), the fixed-point proportion of its n-th iterate."""
-    data = pm.build_B1(pm.CycSetting.make(d, e, 0))
+    data = pm.build_B1(d, e)
     for m in data.A:
         phi = ind.indicatrix_of(data.coset_permset(m))
         iv = ind.iterate_at_zero(phi, n)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import lcm
+from math import ceil, lcm
 
 from .perms import PermSet, ResourceCapError, trace
 
@@ -232,13 +232,28 @@ def epsilon_index(f: IndicatrixPoly, epsilon) -> int | _Diverges:
         else:
             raise ResourceCapError(
                 f"no index below epsilon={epsilon} within {MAX_ITERATION_STEPS}"
-                " iterations; is the source a coset of a transitive group?"
+                f" iterations; {_index_estimate(f, epsilon)}"
             )
         if wp >= MAX_PRECISION:
             raise PrecisionExhaustedError(
                 f"enclosure straddles epsilon={epsilon} at {MAX_PRECISION} bits"
             )
         wp = min(2 * wp, MAX_PRECISION)
+
+
+def _index_estimate(f: IndicatrixPoly, epsilon: Fraction) -> str:
+    """What the asymptotics of 1 - f^n(0) say about an index not reached.
+
+    With f'(1) = 1 (cosets of transitive groups) and f''(1) > 0 the iterates
+    approach 1 parabolically, 1 - f^n(0) ~ 2/(f''(1) n)."""
+    slope = derivative_at_one(f)
+    if slope != 1:
+        return f"phi'(1) = {slope}, not 1"
+    curvature = sum(k * (k - 1) * c for k, c in enumerate(f.coeffs))
+    return (
+        f"estimated index {ceil(2 / (curvature * epsilon))}"
+        " from the parabolic asymptotic 2/(phi''(1)*epsilon)"
+    )
 
 
 def to_text(f: IndicatrixPoly) -> str:

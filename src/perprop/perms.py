@@ -3,7 +3,7 @@
 Permutations act on the dense point set {0, ..., degree-1}.  Composition is
 "apply right, then left": (a * b)(i) = a(b(i)).  PermSet holds a finite,
 duplicate-free, canonically sorted collection of permutations of one degree,
-tagged as a full group, a coset h*rep of a stored group, or a plain set.
+tagged as a full group or a plain set; a coset h*rep is a plain set.
 Everything here is immutable and meant for small explicit groups and
 brute-force oracles, not for computational group theory at scale.
 """
@@ -11,7 +11,7 @@ brute-force oracles, not for computational group theory at scale.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 DEGREE_CAP = 10_000
@@ -118,22 +118,18 @@ def trace(p: Permutation) -> int:
 class PermSet:
     """A nonempty duplicate-free set of same-degree permutations.
 
-    kind is one of "group", "coset", "plain".  A coset stores the group it is
-    a coset of and one representative; its elements are {h * rep : h in group}.
-    Elements are kept sorted by image tuple so equal sets compare equal and
-    iteration order is deterministic.
+    kind is "group" or "plain".  Elements are kept sorted by image tuple so
+    equal sets compare equal and iteration order is deterministic.
     """
 
     degree: int
     elements: tuple[Permutation, ...]
     kind: str = "plain"
-    group: "PermSet | None" = field(default=None, compare=False)
-    representative: Permutation | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not self.elements:
             raise ValueError("PermSet must be nonempty")
-        if self.kind not in ("group", "coset", "plain"):
+        if self.kind not in ("group", "plain"):
             raise ValueError(f"bad kind {self.kind!r}")
         if any(p.degree != self.degree for p in self.elements):
             raise ValueError("mixed degrees in PermSet")
@@ -146,8 +142,6 @@ class PermSet:
                 "elements",
                 tuple(sorted(self.elements, key=lambda p: p.images)),
             )
-        if self.kind == "coset" and (self.group is None or self.representative is None):
-            raise ValueError("coset needs its group and a representative")
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -171,12 +165,6 @@ class PermSet:
                     return False
         return True
 
-    def verify_coset(self) -> bool:
-        if self.kind != "coset":
-            return False
-        want = set((h * self.representative).images for h in self.group)
-        return want == set(p.images for p in self.elements)
-
 
 def permset(elements, kind: str = "plain") -> PermSet:
     elems = tuple(elements)
@@ -185,24 +173,13 @@ def permset(elements, kind: str = "plain") -> PermSet:
     return PermSet(degree=elems[0].degree, elements=elems, kind=kind)
 
 
-def group_from(elements) -> PermSet:
-    return permset(elements, kind="group")
-
-
 def coset(group: PermSet, rep: Permutation) -> PermSet:
-    """The coset {h * rep : h in group}."""
+    """The coset {h * rep : h in group}, as a plain set."""
     if group.kind != "group":
         raise ValueError("coset requires kind='group'")
     if rep.degree != group.degree:
         raise ValueError("representative degree mismatch")
-    elems = tuple({(h * rep).images: h * rep for h in group}.values())
-    return PermSet(
-        degree=group.degree,
-        elements=elems,
-        kind="coset",
-        group=group,
-        representative=rep,
-    )
+    return permset(h * rep for h in group)
 
 
 def close_under_composition(generators, cap: int = 1_000_000) -> PermSet:

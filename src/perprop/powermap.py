@@ -23,7 +23,7 @@ from math import gcd
 
 from . import cyclotomic as cyc
 from .bounds import sqrt_lower, sqrt_upper
-from .perms import PermSet, Permutation, coset, permset
+from .perms import PermSet, Permutation, ResourceCapError, coset, permset
 
 
 class Preperiodicity(enum.Enum):
@@ -136,15 +136,14 @@ def galois_A(d: int, e: int) -> tuple[int, ...]:
     return tuple(m for m in range(1, d) if gcd(m, d) == 1 and m % g == 1 % g)
 
 
-def build_B1(s: CycSetting) -> GaloisData:
-    """All affine elements {i -> m*i + j : m in A, j in Z/d} for the setting."""
-    A = galois_A(s.d, s.e)
-    translations = [AffineElement(1, j, s.d).as_permutation() for j in range(s.d)]
+def build_B1(d: int, e: int) -> GaloisData:
+    """All affine elements {i -> m*i + j : m in A, j in Z/d} for x^d + c over
+    Q(zeta_e), whatever c is."""
+    A = galois_A(d, e)
+    translations = [AffineElement(1, j, d).as_permutation() for j in range(d)]
     G = permset(translations, kind="group")
-    B1 = tuple(
-        AffineElement(m, j, s.d) for m in A for j in range(s.d)
-    )
-    return GaloisData(d=s.d, e=s.e, A=A, G=G, B1=B1)
+    B1 = tuple(AffineElement(m, j, d) for m in A for j in range(d))
+    return GaloisData(d=d, e=e, A=A, G=G, B1=B1)
 
 
 def b_n_permset(d: int, e: int, n: int, cap: int = 1_000_000) -> PermSet:
@@ -153,10 +152,12 @@ def b_n_permset(d: int, e: int, n: int, cap: int = 1_000_000) -> PermSet:
     level-1 coset.  Brute force, for exact conjugacy-class counts."""
     from .wreath import coset_wreath, wreath_order
 
-    data = build_B1(CycSetting.make(d, e, 0))
+    data = build_B1(d, e)
     expected = len(data.A) * wreath_order(d, d, n)
     if expected > cap:
-        raise ValueError(f"B_n enumeration needs {expected} elements, cap is {cap}")
+        raise ResourceCapError(
+            f"B_n enumeration needs {expected} elements, cap is {cap}"
+        )
     elems = []
     for m in data.A:
         level = data.coset_permset(m)

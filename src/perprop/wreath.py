@@ -2,10 +2,11 @@
 
 These enumerations are the independent oracle for the indicatrix recursion:
 the fixed-point proportion of an n-fold iterated wreath product must match
-1 minus the n-fold iterate of the base indicatrix at 0.  Leaf indexing is
-block-major, point (i, j) -> i*d + j, so that the trace of a flattened
-element is the sum of bottom traces over top-fixed blocks, which is exactly
-the identity the recursion manipulates.
+1 minus the n-fold iterate of the base indicatrix at 0.  Each element
+(pi; tau_0..tau_{m-1}) is built directly as the image tuple of its action on
+m*d leaves, indexed block-major: (i, j) -> pi(i)*d + tau_i(j).  So the trace
+of an element is the sum of bottom traces over top-fixed blocks, which is
+exactly the identity the recursion manipulates.
 
 Everything is an explicit list of permutations behind a hard enumeration cap;
 this module is an oracle, not a production path.
@@ -14,75 +15,36 @@ this module is an oracle, not a production path.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .perms import PermSet, Permutation, ResourceCapError, permset
+from .perms import PermSet, Permutation, ResourceCapError
 
 ENUMERATION_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class WreathElement:
-    """A block permutation: top permutes m blocks, bottoms[i] acts inside block i."""
-
-    top: Permutation
-    bottoms: tuple[Permutation, ...]
-
-    def __post_init__(self):
-        if len(self.bottoms) != self.top.degree:
-            raise ValueError("need one bottom permutation per block")
-        if len({b.degree for b in self.bottoms}) > 1:
-            raise ValueError("bottom permutations must share a degree")
-
-    def flatten(self) -> Permutation:
-        """Permutation of m*d points sending (i, j) -> (top(i), bottoms[i](j))."""
-        m = self.top.degree
-        d = self.bottoms[0].degree
-        images = [0] * (m * d)
-        for i in range(m):
-            ti = self.top.images[i]
-            bi = self.bottoms[i].images
-            base = i * d
-            tbase = ti * d
-            for j in range(d):
-                images[base + j] = tbase + bi[j]
-        return Permutation(tuple(images))
-
-
 def coset_wreath(top_set: PermSet, bottom_set: PermSet, cap: int = ENUMERATION_CAP) -> PermSet:
-    """Full product set {(pi; tau_1..tau_m)} flattened, of size |top|*|bottom|^m.
-
-    Groups wreath to a group.  Cosets (or mixtures) wreath to a coset of the
-    wreath product of the underlying groups, which is built alongside and
-    stored as the reference group (any element serves as representative)."""
+    """Full product set {(pi; tau_0..tau_{m-1})} as permutations of m*d
+    leaves, of size |top|*|bottom|^m.  Two groups wreath to a group; any other
+    pair gives a plain set (a coset of the wreath of the groups, when the
+    inputs are cosets)."""
     m = top_set.degree
+    d = bottom_set.degree
     size = len(top_set) * len(bottom_set) ** m
     if size > cap:
         raise ResourceCapError(
             f"wreath enumeration needs {size} elements, cap is {cap}"
         )
-    elems = []
-    for top in top_set:
-        for bottoms in itertools.product(bottom_set.elements, repeat=m):
-            elems.append(WreathElement(top, bottoms).flatten())
-    if top_set.kind == "group" and bottom_set.kind == "group":
-        result = permset(elems, kind="group")
-    elif top_set.kind in ("group", "coset") and bottom_set.kind in ("group", "coset"):
-        top_group = top_set if top_set.kind == "group" else top_set.group
-        bottom_group = bottom_set if bottom_set.kind == "group" else bottom_set.group
-        ref = coset_wreath(top_group, bottom_group, cap=cap)
-        result = PermSet(
-            degree=m * bottom_set.degree,
-            elements=tuple(elems),
-            kind="coset",
-            group=ref,
-            representative=elems[0],
-        )
-    else:
-        result = permset(elems, kind="plain")
-    if len(result) != size:
-        raise AssertionError("wreath product produced duplicate elements")
-    return result
+    # shifted[t][b]: the images of bottom b placed in target block t
+    shifted = [
+        [tuple(t * d + j for j in tau.images) for tau in bottom_set]
+        for t in range(m)
+    ]
+    elems = [
+        Permutation(tuple(itertools.chain.from_iterable(blocks)))
+        for pi in top_set
+        for blocks in itertools.product(*(shifted[t] for t in pi.images))
+    ]
+    kind = "group" if top_set.kind == bottom_set.kind == "group" else "plain"
+    return PermSet(degree=m * d, elements=tuple(elems), kind=kind)
 
 
 def iterated_wreath(g: PermSet, n: int, cap: int = ENUMERATION_CAP) -> PermSet:

@@ -117,7 +117,7 @@ def test_criterion_02_burnside_and_derivative_identities():
 
 
 def test_criterion_03_dichotomy():
-    data = build_B1(CycSetting.make(3, 1, 1))
+    data = build_B1(3, 1)
     positive_cases = [
         indicatrix_of(cyclic_group(2)),
         indicatrix_of(cyclic_group(3)),
@@ -266,7 +266,7 @@ def test_criterion_08_limsup_evidence_regime_c():
 def test_criterion_09_bound_soundness_end_to_end():
     started = time.monotonic()
     setting = CycSetting.make(3, 1, 1)
-    data = build_B1(setting)
+    data = build_B1(setting.d, setting.e)
     bounds_by_n = {}
     for n in (1, 2):
         order = len(data.A) * wreath_order(3, 3, n)

@@ -252,6 +252,18 @@ def test_epsilon_iteration_cap_is_a_resource_cap(capsys, monkeypatch):
     code, _, err = run(capsys, "fpp", "-d", "2", "-n", "1", "--epsilon", "1/10000")
     assert code == 5
     assert err.startswith("resource cap:")
+    # the parabolic estimate 2/(phi''(1)*eps) for phi = 1/2 + 1/2*x^2
+    assert "20000" in err
+    assert "transitive group?" not in err
+
+
+def test_exact_classes_over_cap_is_a_resource_cap(capsys):
+    code, out, err = run(capsys, "bound", "-d", "3", "-e", "1", "-n", "3", "-q", "10",
+                         "--classes", "exact")
+    assert code == 5
+    assert out == ""
+    assert err.startswith("resource cap:")
+    assert "3188646" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -20,7 +20,7 @@ from perprop.indicatrix import (
     value_at,
 )
 from perprop.perms import Permutation, cyclic_group, fpp, permset, symmetric_group
-from perprop.powermap import CycSetting, build_B1
+from perprop.powermap import build_B1
 
 F = Fraction
 
@@ -119,7 +119,7 @@ def _step_oracle(phi, lo, hi, wp):
 _rng = random.Random(20161)
 STEP_CASES = [_random_indicatrix(_rng, _rng.randrange(7)) for _ in range(200)] + [
     indicatrix_of(data.coset_permset(m))
-    for data in (build_B1(CycSetting.make(d, 1, 0)) for d in (2, 3, 5))
+    for data in (build_B1(d, 1) for d in (2, 3, 5))
     for m in data.A
 ]
 

@@ -13,7 +13,6 @@ from perprop.perms import (
     cyclic_group,
     fpp,
     from_cycles,
-    group_from,
     identity,
     is_transitive,
     mean_trace,
@@ -54,7 +53,7 @@ def test_is_transitive_examples():
     assert is_transitive(cyclic_group(3)) is True
     assert is_transitive(symmetric_group(3)) is True
     swap = from_cycles("(0 1)", 3)
-    assert is_transitive(group_from([identity(3), swap])) is False
+    assert is_transitive(permset([identity(3), swap], kind="group")) is False
 
 
 def test_is_transitive_rejects_non_group():
@@ -108,7 +107,7 @@ def test_coset_properties():
     rep = from_cycles("(0 1)", 3)
     cs = coset(g, rep)
     assert len(cs) == len(g)
-    assert cs.verify_coset()
+    assert {p.images for p in cs} == {(h * rep).images for h in g}
     # fpp is independent of the chosen representative
     for other in cs:
         assert fpp(coset(g, other)) == fpp(cs)

@@ -61,27 +61,28 @@ def test_galois_A_e2_matches_base_rationals():
 
 
 def test_build_B1_structure():
-    data = build_B1(CycSetting.make(3, 1, 1))
+    data = build_B1(3, 1)
     assert len(data.B1) == len(data.A) * 3 == 6
     assert {a.m for a in data.B1} == {1, 2}
     assert is_transitive(data.G)
     assert permset((a.as_permutation() for a in data.B1), kind="group").verify_group()
     # d=2: only translations
-    data2 = build_B1(CycSetting.make(2, 1, 1))
+    data2 = build_B1(2, 1)
     assert len(data2.B1) == 2 and data2.A == (1,)
     # d=4 over Q: two cosets
-    data4 = build_B1(CycSetting.make(4, 1, 1))
+    data4 = build_B1(4, 1)
     assert len(data4.B1) == 8 and data4.A == (1, 3)
 
 
 def test_coset_partition_matches_A():
     for d, e in [(3, 1), (4, 1), (6, 1), (5, 1), (9, 1), (4, 4), (3, 3)]:
-        data = build_B1(CycSetting.make(d, e, 1))
+        data = build_B1(d, e)
         assert len(data.B1) == len(data.A) * d
         for m in data.A:
             cs = data.coset_permset(m)
             assert len(cs) == d
-            assert cs.verify_coset()
+            rep = AffineElement(m, 0, d).as_permutation()
+            assert {p.images for p in cs} == {(h * rep).images for h in data.G}
 
 
 def test_coset_status_examples():
@@ -388,7 +389,7 @@ def test_setting_validation():
 def test_model_fpp_via_indicatrix_matches_group_fpp():
     # FPP(B_1) computed from the coset indicatrices equals the direct group FPP
     for d, e in [(3, 1), (4, 1), (3, 3), (5, 1)]:
-        data = build_B1(CycSetting.make(d, e, 1))
+        data = build_B1(d, e)
         per_coset = [
             1 - value_at(indicatrix_of(data.coset_permset(m)), 0) for m in data.A
         ]

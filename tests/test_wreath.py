@@ -1,46 +1,65 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from perprop.bounds import fix_class_count
 from perprop.indicatrix import compose, indicatrix_of, value_at
 from perprop.perms import (
+    Permutation,
     ResourceCapError,
     coset,
     cyclic_group,
     fpp,
     from_cycles,
+    identity,
     mean_trace,
+    permset,
     symmetric_group,
     trace,
 )
-from perprop.wreath import WreathElement, coset_wreath, iterated_wreath, wreath_order
+from perprop.powermap import b_n_permset, galois_A
+from perprop.wreath import coset_wreath, iterated_wreath, wreath_order
 
 F = Fraction
+
+
+def _top_and_bottoms(p, d):
+    """Recover (pi, (tau_0, ...)) from the block-major images of (pi; tau)."""
+    blocks = [p.images[i:i + d] for i in range(0, p.degree, d)]
+    top = tuple(block[0] // d for block in blocks)
+    assert all(k // d == t for block, t in zip(blocks, top) for k in block)
+    return top, tuple(tuple(k % d for k in block) for block in blocks)
 
 
 def test_flatten_block_major_indexing():
     top = from_cycles("(0 1)", 2)
     b0 = from_cycles("(0 1)", 2)
     b1 = from_cycles("()", 2)
-    flat = WreathElement(top, (b0, b1)).flatten()
+    w = coset_wreath(permset([top]), permset([b0, b1]))
+    recovered = {_top_and_bottoms(p, 2): p.images for p in w}
+    assert set(recovered) == {
+        (top.images, bottoms) for bottoms in itertools.product((b0.images, b1.images), repeat=2)
+    }
     # (0,0) -> (1, b0(0)) = point 1*2+1; (1,1) -> (0, b1(1)) = point 1
-    assert flat.images == (3, 2, 0, 1)
+    assert recovered[top.images, (b0.images, b1.images)] == (3, 2, 0, 1)
 
 
 def test_trace_of_flattened_is_sum_over_fixed_blocks():
     c3 = cyclic_group(3)
-    for top in c3:
-        for b0 in c3:
-            for b1 in c3:
-                for b2 in c3:
-                    w = WreathElement(top, (b0, b1, b2))
-                    flat_trace = trace(w.flatten())
-                    expected = sum(
-                        trace(w.bottoms[i])
-                        for i in range(3)
-                        if top.images[i] == i
-                    )
-                    assert flat_trace == expected
+    w = coset_wreath(c3, c3)
+    seen = set()
+    for p in w:
+        top, bottoms = _top_and_bottoms(p, 3)
+        seen.add((top, bottoms))
+        expected = sum(
+            trace(Permutation(bottoms[i])) for i in range(3) if top[i] == i
+        )
+        assert trace(p) == expected
+    c3_images = [g.images for g in c3]
+    assert seen == {
+        (top, bottoms) for top in c3_images for bottoms in itertools.product(c3_images, repeat=3)
+    }
 
 
 def test_coset_wreath_sizes():
@@ -88,13 +107,11 @@ def test_enumeration_cap_enforced():
 def test_recursion_matches_enumeration_for_small_bases():
     # every base group of degree <= 3 and order <= 6 (transitivity not needed
     # for the composition identity), plus a few larger degrees
-    from perprop.perms import group_from, identity
-
     bases = [
-        group_from([identity(2)]),
+        permset([identity(2)], kind="group"),
         cyclic_group(2),
-        group_from([identity(3)]),
-        group_from([identity(3), from_cycles("(0 1)", 3)]),
+        permset([identity(3)], kind="group"),
+        permset([identity(3), from_cycles("(0 1)", 3)], kind="group"),
         cyclic_group(3),
         symmetric_group(3),
         cyclic_group(4),
@@ -145,11 +162,90 @@ def test_wreath_of_groups_is_group_and_of_cosets_is_coset():
     g = cyclic_group(3)
     cs = coset(g, from_cycles("(0 1 2)", 3))
     wc = coset_wreath(cs, cs)
-    assert wc.kind == "coset"
-    assert wc.group == coset_wreath(g, g)
-    assert wc.verify_coset()
-    # independent set-level check with an arbitrary representative
+    assert wc.kind == "plain"
     wg = coset_wreath(g, g)
-    rep = next(iter(wc))
-    expected = {(h * rep).images for h in wg}
-    assert expected == {p.images for p in wc}
+    assert wg.kind == "group"
+    # {h * rep : h in the wreath of the groups} for every representative
+    for rep in wc:
+        assert {(h * rep).images for h in wg} == {p.images for p in wc}
+
+
+# -- equivalence with the element-by-element construction --------------------
+
+def _images(s):
+    return {p.images for p in s}
+
+
+def _flatten(top, bottoms):
+    """(pi; tau_0..tau_{m-1}) as the images of (i, j) -> pi(i)*d + tau_i(j),
+    written point by point."""
+    d = len(bottoms[0])
+    images = [0] * (len(top) * d)
+    for i, ti in enumerate(top):
+        for j in range(d):
+            images[i * d + j] = ti * d + bottoms[i][j]
+    return tuple(images)
+
+
+def _oracle_wreath(top, bottom):
+    """Image set of the wreath of two image-tuple sets, one element at a time."""
+    m = len(next(iter(top)))
+    return {
+        _flatten(t, bs) for t in top for bs in itertools.product(sorted(bottom), repeat=m)
+    }
+
+
+def _oracle_b_n(d, e, n):
+    """Union over multipliers m of the n-fold wreath of {i -> m*i + j : j}."""
+    out = set()
+    for m in galois_A(d, e):
+        level = {tuple((m * i + j) % d for i in range(d)) for j in range(d)}
+        current = level
+        for _ in range(n - 1):
+            current = _oracle_wreath(current, level)
+        out |= current
+    return out
+
+
+def test_coset_wreath_matches_element_by_element_oracle():
+    c3 = cyclic_group(3)
+    # (set, the group it is a coset of, or None for a plain set)
+    inputs = [
+        (cyclic_group(1), cyclic_group(1)),
+        (cyclic_group(2), cyclic_group(2)),
+        (c3, c3),
+        (symmetric_group(3), symmetric_group(3)),
+        (coset(c3, from_cycles("(0 1)", 3)), c3),
+        # not closed under inverses, so a wreath built on inverted blocks differs
+        (permset([from_cycles("(0 1 2)", 3), from_cycles("(0 1)", 3)]), None),
+    ]
+    for (top, top_group), (bottom, bottom_group) in itertools.product(inputs, repeat=2):
+        w = coset_wreath(top, bottom)
+        assert _images(w) == _oracle_wreath(_images(top), _images(bottom))
+        assert len(w) == len(top) * len(bottom) ** top.degree
+        assert (w.kind == "group") == (top.kind == bottom.kind == "group")
+        if top_group is not None and bottom_group is not None:
+            # a coset of the wreath of the underlying groups
+            ref = _oracle_wreath(_images(top_group), _images(bottom_group))
+            rep = w.elements[0].images
+            assert {tuple(h[k] for k in rep) for h in ref} == _images(w)
+
+    c2 = _images(cyclic_group(2))
+    acc = c2
+    for _ in range(3):
+        acc = _oracle_wreath(acc, c2)
+    assert _images(iterated_wreath(cyclic_group(2), 4)) == acc
+
+
+@pytest.mark.parametrize(
+    "d,e,n", [(2, 1, 3), (3, 1, 2), (4, 1, 2), (3, 3, 2), (5, 1, 1), (2, 1, 4), (5, 1, 2)]
+)
+def test_b_n_permset_matches_element_by_element_oracle(d, e, n):
+    group = b_n_permset(d, e, n)
+    expected = _oracle_b_n(d, e, n)
+    assert group.kind == "group"
+    assert len(group) == len(galois_A(d, e)) * wreath_order(d, d, n)
+    assert _images(group) == expected
+    if len(group) <= 5000:
+        oracle_group = permset((Permutation(t) for t in expected), kind="group")
+        assert fix_class_count(group) == fix_class_count(oracle_group)
