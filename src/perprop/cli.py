@@ -22,7 +22,7 @@ import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import MAX_PREC, Decimal, localcontext
 from fractions import Fraction
 from statistics import median
 
@@ -49,10 +49,13 @@ class UsageError(Exception):
 
 
 def fmt6(fr: Fraction) -> str:
+    """fr rounded half-even to 6 decimal places, exactly at any size: the
+    rounding is done on integers, and Decimal only places the point (it
+    prints integers past Python's int-to-str digit limit)."""
     with localcontext() as ctx:
-        ctx.prec = 60
-        d = Decimal(fr.numerator) / Decimal(fr.denominator)
-    return str(d.quantize(Decimal("0.000001"), rounding=ROUND_HALF_EVEN))
+        ctx.prec = MAX_PREC
+        text = Decimal(round(abs(fr) * 10**6)).scaleb(-6)
+    return str(text.copy_negate() if fr < 0 else text)
 
 
 def frac_str(fr: Fraction) -> str:

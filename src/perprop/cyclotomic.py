@@ -6,17 +6,16 @@ polynomial.  Text form uses the letter z for zeta, e.g. "1+2z" or "z^2-3".
 The module also holds the package's one integer-polynomial product and
 monic long division; the residue fields reduce their results mod p.
 
-Complex embeddings (zeta -> exp(2*pi*i*m/e) for units m mod e) are available
-two ways: fast double-precision values with a rigorous forward error bound,
-and dyadic integer enclosures of |value|^2 (integer numerators over a power
-of two) built from Taylor series for cos/sin with certified remainders (pi
-itself enclosed via Machin's formula).  The enclosures are the slow path used
-only when the float error bound cannot decide a comparison.
+Complex embeddings (zeta -> exp(2*pi*i*m/e) for units m mod e) are given
+only as dyadic integer enclosures of |value|^2 (integer numerators over a
+power of two), built from Taylor series for cos/sin with certified
+remainders (pi itself enclosed via Machin's formula).  They are the one path
+on which the critical-orbit radius test is decided; no floating point is
+involved.
 """
 
 from __future__ import annotations
 
-import cmath
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -183,26 +182,6 @@ def format_cyclotomic(a) -> str:
     return out[1:] if out.startswith("+") else out
 
 
-# -- complex embeddings, fast path ------------------------------------------
-
-def embedding_abs_floats(a, e: int) -> tuple[list[float], float]:
-    """|sigma_m(a)| for all units m mod e in doubles, plus an absolute error
-    bound valid for every returned value (covers rounding in the root of
-    unity, the Horner loop and the final abs)."""
-    total = sum(abs(int(c)) for c in a)
-    if total >= 2**970:  # keep float conversion far from overflow
-        return [], float("inf")
-    err = float(total) * len(a) * (e + 8) * 2.0**-50
-    values = []
-    for m in units_mod(e):
-        root = cmath.exp(2j * cmath.pi * m / e) if e > 1 else complex(1.0)
-        acc = complex(0.0)
-        for c in reversed(a):
-            acc = acc * root + c
-        values.append(abs(acc))
-    return values, err
-
-
 # -- dyadic integer enclosures -----------------------------------------------
 
 # cos/sin are carried to bits + GUARD_BITS fractional bits
@@ -214,7 +193,7 @@ def _isquare(lo: int, hi: int) -> tuple[int, int]:
         return lo * lo, hi * hi
     if hi <= 0:
         return hi * hi, lo * lo
-    return 0, max(lo * lo, hi * hi)
+    return 0, max(-lo, hi) ** 2
 
 
 def _atan_inv_fixed(x: int, prec: int) -> tuple[int, int]:

@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 from . import cyclotomic as cyc
-from .bounds import sqrt_lower, sqrt_upper
 from .perms import PermSet, Permutation, ResourceCapError, coset, permset
 
 
@@ -238,7 +236,6 @@ def classify_regime(s: CycSetting, preper: Preperiodicity) -> RegimeReport:
 
 # -- critical orbit of 0 ------------------------------------------------------
 
-ESCAPE_GUARD = 1e-6
 _SLOW_BITS = (64, 128, 256, 512)
 # Orbits escaping in one embedding while bounded in another never satisfy the
 # all-embeddings escape criterion, yet their coefficients double each step;
@@ -255,45 +252,26 @@ class OrbitReport:
 
 
 @lru_cache(maxsize=None)
-def _radius_enclosure(c, e: int, bits: int) -> tuple[Fraction, Fraction]:
-    """(r_lo, r_hi) enclosing the escape radius 1 + max |embedding of c|."""
-    den = 1 << cyc.abs_sq_shift(bits)
+def _radius_squares(c, e: int, bits: int) -> tuple[int, int]:
+    """Integer bounds (lo, hi) on the squared escape radius
+    (1 + max |embedding of c|)^2, as numerators over 2^abs_sq_shift(bits)."""
+    one = 1 << (bits + cyc.GUARD_BITS)
     c_sq = cyc.embedding_abs_sq_intervals(c, e, bits)
-    r_lo = 1 + max(sqrt_lower(Fraction(lo, den), bits) for lo, _ in c_sq)
-    r_hi = 1 + max(sqrt_upper(Fraction(hi, den), bits) for _, hi in c_sq)
-    return r_lo, r_hi
-
-
-def _root_square(num: int, shift: int, bits: int) -> tuple[int, int]:
-    """(M, k) with sqrt_lower(x, bits) = isqrt(M) / 2^k and sqrt_upper(x, bits)
-    = ceil(sqrt(M)) / 2^k for x = num / 2^shift: with x = n'/d' in lowest
-    terms, M = n'd' * 4^bits and 2^k = d' * 2^bits, as in bounds.sqrt_*."""
-    t = min(shift, (num & -num).bit_length() - 1) if num else shift
-    k = shift - t + bits
-    return (num >> t) << (k + bits), k
-
-
-def _root_exceeds(num: int, shift: int, bits: int, r: Fraction) -> bool:
-    """sqrt_lower(num / 2^shift, bits) > r >= 0, decided on squares."""
-    m, k = _root_square(num, shift, bits)
-    return m >= ((r.numerator << k) // r.denominator + 1) ** 2
-
-
-def _root_within(num: int, shift: int, bits: int, r: Fraction) -> bool:
-    """sqrt_upper(num / 2^shift, bits) <= r for r >= 0, decided on squares."""
-    m, k = _root_square(num, shift, bits)
-    return m <= ((r.numerator << k) // r.denominator) ** 2
+    c_lo = max(lo for lo, _ in c_sq)
+    c_hi = max(hi for _, hi in c_sq)
+    r_lo = one + isqrt(c_lo)
+    r_hi = one + (isqrt(c_hi - 1) + 1 if c_hi else 0)  # ceil(sqrt(c_hi))
+    return r_lo * r_lo, r_hi * r_hi
 
 
 def _radius_rung(z, c, e: int, bits: int) -> bool | None:
     """The radius check at one precision of dyadic integer enclosures: True
     or False once certified, None while undecided."""
-    shift = cyc.abs_sq_shift(bits)
     z_sq = cyc.embedding_abs_sq_intervals(z, e, bits)
-    r_lo, r_hi = _radius_enclosure(c, e, bits)
-    if all(_root_exceeds(lo, shift, bits, r_hi) for lo, _ in z_sq):
+    r_lo_sq, r_hi_sq = _radius_squares(c, e, bits)
+    if all(lo > r_hi_sq for lo, _ in z_sq):
         return True
-    if any(_root_within(hi, shift, bits, r_lo) for _, hi in z_sq):
+    if any(hi <= r_lo_sq for _, hi in z_sq):
         return False
     return None
 
@@ -301,24 +279,12 @@ def _radius_rung(z, c, e: int, bits: int) -> bool | None:
 def _exceeds_radius(z, c, e: int) -> bool:
     """Certified check that every embedding of z exceeds 1 + max |embedding of c|.
 
-    Double precision with a forward error bound decides almost always; inside
-    the guard band the comparison is redone with dyadic integer enclosures at
-    increasing precision, comparing squares so that no square root of an
-    iterate is taken.  Undecidable cases count as "no", which only delays the
-    escape certificate, never falsifies it.
+    One integer path: squared dyadic enclosures of |embedding of z| are
+    compared with the squared radius bounds at increasing precision, so no
+    square root of an iterate is taken (for e = 1 the first rung is exact).
+    Undecidable cases count as "no", which only delays the escape
+    certificate, never falsifies it.
     """
-    if e <= 2:
-        zi, ci = abs(z[0]), abs(c[0])
-        return zi > 1 + ci
-    z_vals, z_err = cyc.embedding_abs_floats(z, e)
-    c_vals, c_err = cyc.embedding_abs_floats(c, e)
-    if z_vals and c_vals:
-        radius_hi = 1 + max(c_vals) + c_err
-        radius_lo = 1 + max(c_vals) - c_err
-        if min(z_vals) - z_err > radius_hi * (1 + ESCAPE_GUARD):
-            return True
-        if min(z_vals) + z_err <= radius_lo * (1 - ESCAPE_GUARD):
-            return False
     for bits in _SLOW_BITS:
         verdict = _radius_rung(z, c, e, bits)
         if verdict is not None:

@@ -19,6 +19,10 @@ import itertools
 from .perms import PermSet, Permutation, ResourceCapError
 
 ENUMERATION_CAP = 1_000_000
+# Python's default limit on the digits of an int converted to str
+MAX_ORDER_DIGITS = 4300
+_ORDER_LIMIT = 10**MAX_ORDER_DIGITS
+_ORDER_LIMIT_BITS = _ORDER_LIMIT.bit_length()
 
 
 def coset_wreath(top_set: PermSet, bottom_set: PermSet, cap: int = ENUMERATION_CAP) -> PermSet:
@@ -63,7 +67,23 @@ def iterated_wreath(g: PermSet, n: int, cap: int = ENUMERATION_CAP) -> PermSet:
 
 
 def wreath_order(group_size: int, d: int, n: int) -> int:
-    """Order of the n-fold iterated wreath product of a size-group_size set of degree d."""
+    """Order of the n-fold iterated wreath product of a size-group_size set of
+    degree d, group_size^((d^n - 1)/(d - 1)).  An order of more than
+    MAX_ORDER_DIGITS decimal digits raises ResourceCapError, decided from bit
+    lengths before any large power is formed."""
     if d < 2 or n < 1:
         raise ValueError("need d >= 2 and n >= 1")
-    return group_size ** ((d**n - 1) // (d - 1))
+    if group_size < 2:
+        return group_size
+    # group_size^E >= 2^E with E >= d^(n-1) >= 2^((n-1)*(bitlen(d)-1)), so
+    # bit lengths refuse a huge order before its power is formed
+    if (n - 1) * (d.bit_length() - 1) < _ORDER_LIMIT_BITS.bit_length():
+        exponent = (d**n - 1) // (d - 1)
+        if exponent * (group_size.bit_length() - 1) < _ORDER_LIMIT_BITS:
+            order = group_size**exponent  # fewer than 2 * _ORDER_LIMIT_BITS bits
+            if order < _ORDER_LIMIT:
+                return order
+    raise ResourceCapError(
+        f"the {n}-fold iterated wreath order has more than "
+        f"{MAX_ORDER_DIGITS} decimal digits"
+    )

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -264,6 +265,37 @@ def test_exact_classes_over_cap_is_a_resource_cap(capsys):
     assert out == ""
     assert err.startswith("resource cap:")
     assert "3188646" in err
+
+
+def test_fmt6_rounds_half_even_at_any_size():
+    rng = random.Random(6)
+    values = [F(0), F(1, 2 * 10**6), F(3, 2 * 10**6), F(10**22), F(2**127, 3)]
+    for digits in range(0, 81):
+        for _ in range(20):
+            den = rng.randint(1, 10**rng.randint(0, 12))
+            values.append(F(rng.randint(0, 10**digits) * den + rng.randint(0, den), den))
+        # ties at the sixth decimal place
+        values.append(F(2 * rng.randint(0, 10**digits) * 10**6 + 2 * rng.randint(0, 10**6) + 1,
+                        2 * 10**6))
+    for fr in values:
+        q = round(fr * 10**6)
+        assert fmt6(fr) == f"{q // 10**6}.{q % 10**6:06d}", fr
+
+
+def test_bound_with_a_group_order_past_double_digits(capsys):
+    # |B_7| = 2^127: the error terms are far beyond 10^22
+    code, out, err = run(capsys, "bound", "-d", "2", "-n", "7", "-q", "10,100003")
+    assert (code, err) == (0, "")
+    assert "|B_n|=170141183460469231731687303715884105728" in out
+    assert [line.split()[0] for line in out.splitlines()[1:]] == ["q=10", "q=100003"]
+
+
+def test_wreath_order_past_the_digit_limit_is_a_resource_cap(capsys):
+    for argv in (["wreathcheck", "C2", "14"], ["bound", "-d", "2", "-n", "14", "-q", "10"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (5, "")
+        assert err.startswith("resource cap: ")
+        assert "4300 decimal digits" in err
 
 
 @pytest.mark.parametrize("argv", [

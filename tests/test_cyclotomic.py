@@ -14,7 +14,6 @@ from perprop.cyclotomic import (
     cyc_mul,
     cyc_pow,
     cyclotomic_polynomial,
-    embedding_abs_floats,
     embedding_abs_sq_intervals,
     euler_phi,
     format_cyclotomic,
@@ -113,22 +112,15 @@ def test_cos_sin_enclosures_match_cmath(j, e):
     assert chi - clo < F(1, 2**48)
 
 
-def test_embedding_floats_match_cmath():
-    e = 7
-    a = parse_cyclotomic("2+z-3z^4", e)
-    values, err = embedding_abs_floats(a, e)
-    assert err < 1e-8
-    for m, got in zip(units_mod(e), values):
-        direct = abs(
-            sum(c * cmath.exp(2j * cmath.pi * m * k / e) for k, c in enumerate(a))
-        )
-        assert abs(got - direct) < 1e-9
+def _embedding_abs(a, e, m):
+    """|sigma_m(a)| in complex doubles, the reference for the enclosures."""
+    return abs(sum(c * cmath.exp(2j * cmath.pi * m * k / e) for k, c in enumerate(a)))
 
 
 def test_embedding_intervals_contain_float_values():
     e = 5
     a = parse_cyclotomic("1+2z+z^3", e)
-    values, _ = embedding_abs_floats(a, e)
+    values = [_embedding_abs(a, e, m) for m in units_mod(e)]
     den = 2 ** abs_sq_shift(64)
     enclosures = [(F(lo, den), F(hi, den)) for lo, hi in embedding_abs_sq_intervals(a, e, 64)]
     assert len(values) == len(enclosures)
@@ -141,9 +133,8 @@ def test_embedding_of_rational_integer():
     # all embeddings of a plain integer share its absolute value
     e = 5
     a = cyc_int(-7, e)
-    values, err = embedding_abs_floats(a, e)
-    for v in values:
-        assert abs(v - 7.0) <= err + 1e-12
+    for m in units_mod(e):
+        assert abs(_embedding_abs(a, e, m) - 7.0) <= 1e-12
     for lo, hi in embedding_abs_sq_intervals(a, e, 64):
         assert lo <= 49 << abs_sq_shift(64) <= hi
 

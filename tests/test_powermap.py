@@ -1,8 +1,9 @@
+import cmath
 import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -18,8 +19,7 @@ from perprop.powermap import (
     Preperiodicity,
     _exceeds_radius,
     _radius_rung,
-    _root_exceeds,
-    _root_within,
+    _radius_squares,
     b_n_permset,
     build_B1,
     classify_regime,
@@ -284,26 +284,46 @@ def _fraction_rung(z_sq, radius, bits):
     return None
 
 
-def test_square_comparisons_match_square_roots():
-    # the decisions on squares equal sqrt_lower(x) > r and sqrt_upper(x) <= r
-    # on exact squares of dyadic rationals next to r and their neighbours
-    radii = [Fraction(1), Fraction(2), Fraction(3, 2), Fraction(5, 4),
-             1 + Fraction(1, 2**20), Fraction(7, 3), Fraction(10**9 + 7, 10**9)]
-    cases = 0
-    for bits in (0, 1, 5, *_SLOW_BITS):
-        for shift in (0, 1, 6, 40, cyc.abs_sq_shift(bits)):
-            for r in radii:
-                half = shift // 2
-                near = [(r.numerator << half) // r.denominator + k for k in range(-2, 3)]
-                nums = {0, 1} | {y * y << (shift - 2 * half) for y in near}
-                nums |= {floor(r * r * 2**shift) + k for k in range(-2, 3)}
-                for num in nums:
-                    x = Fraction(num, 1 << shift)
-                    assert _root_exceeds(num, shift, bits, r) == (sqrt_lower(x, bits) > r)
-                    if num >= 0:  # upper ends of enclosures of squares
-                        assert _root_within(num, shift, bits, r) == (sqrt_upper(x, bits) <= r)
-                    cases += 1
-    assert cases > 2000
+def test_radius_squares():
+    # e = 1: the radius 1 + |c| is exact at every rung
+    for bits in _SLOW_BITS:
+        k = bits + cyc.GUARD_BITS
+        for c in range(-5, 6):
+            expected = ((1 + abs(c)) << k) ** 2
+            assert _radius_squares((c,), 1, bits) == (expected, expected), (c, bits)
+    # other conductors: the bounds enclose (1 + max |sigma(c)|)^2
+    rng = random.Random(8)
+    for e in (3, 4, 5, 7, 8):
+        for _ in range(10):
+            c = tuple(rng.randint(-9, 9) for _ in range(cyc.euler_phi(e)))
+            radius = 1 + max(
+                abs(sum(x * cmath.exp(2j * cmath.pi * m * i / e) for i, x in enumerate(c)))
+                for m in cyc.units_mod(e)
+            )
+            for bits in _SLOW_BITS:
+                lo, hi = _radius_squares(c, e, bits)
+                den = 1 << cyc.abs_sq_shift(bits)
+                # r_lo - 1 and r_hi - 1 are the floor and ceiling square roots
+                # of the largest lower and upper ends of c's enclosures
+                c_sq = cyc.embedding_abs_sq_intervals(c, e, bits)
+                one = 1 << (bits + cyc.GUARD_BITS)
+                r_lo, r_hi = isqrt(lo), isqrt(hi)
+                assert (r_lo**2, r_hi**2) == (lo, hi)
+                c_lo, c_hi = max(iv[0] for iv in c_sq), max(iv[1] for iv in c_sq)
+                assert (r_lo - one) ** 2 <= c_lo < (r_lo - one + 1) ** 2
+                assert (r_hi - one - 1) ** 2 < c_hi <= (r_hi - one) ** 2
+                assert lo / den <= radius**2 * (1 + 1e-12), (e, c, bits)
+                assert hi / den >= radius**2 * (1 - 1e-12), (e, c, bits)
+                assert (hi - lo) / den < 2.0**-bits, (e, c, bits)
+
+
+def test_rational_radius_check_is_exact():
+    # for e = 1 the first rung decides |z| > 1 + |c| exactly, on the boundary
+    # |z| = 1 + |c| as well
+    for c in range(-6, 7):
+        for z in range(-50, 51):
+            assert _exceeds_radius((z,), (c,), 1) == (abs(z) > 1 + abs(c)), (z, c)
+            assert _radius_rung((z,), (c,), 1, _SLOW_BITS[0]) is (abs(z) > 1 + abs(c))
 
 
 # the oracle test stops an orbit once its coefficients exceed this many bits

@@ -19,7 +19,7 @@ from perprop.perms import (
     trace,
 )
 from perprop.powermap import b_n_permset, galois_A
-from perprop.wreath import coset_wreath, iterated_wreath, wreath_order
+from perprop.wreath import MAX_ORDER_DIGITS, coset_wreath, iterated_wreath, wreath_order
 
 F = Fraction
 
@@ -96,6 +96,15 @@ def test_wreath_order_examples():
     assert wreath_order(3, 3, 2) == 81
     assert wreath_order(2, 2, 3) == 128
     assert wreath_order(17, 5, 1) == 17
+    assert wreath_order(2, 2, 13) == 2**8191
+
+
+def test_wreath_order_refuses_more_than_4300_digits():
+    assert MAX_ORDER_DIGITS == 4300
+    assert wreath_order(10, 4298, 2) == 10**4299  # 4300 digits
+    for args in [(10, 4299, 2), (2, 2, 14), (3, 3, 9), (2**14300, 5, 1)]:
+        with pytest.raises(ResourceCapError, match="more than 4300 decimal digits"):
+            wreath_order(*args)
 
 
 def test_enumeration_cap_enforced():
