@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .perms import PermSet, trace
+import numpy as np
+
+from .perms import PermSet
 
 SQRT_BITS = 64
 
@@ -154,15 +156,14 @@ def fix_class_count(s: PermSet) -> int:
     with a fixed point; exact, by exhaustion (small explicit groups only)."""
     if s.kind != "group":
         raise ValueError("fix_class_count requires kind='group'")
-    unseen = {p.images for p in s if trace(p) > 0}
-    # conjugate on image tuples, g^-1 being the argsort of g:
-    # (g * rep * g^-1)(i) = g(rep(g^-1(i)))
-    images = [p.images for p in s]
-    pairs = [(g, sorted(range(len(g)), key=g.__getitem__)) for g in images]
+    group = s.images
+    inverses = np.argsort(group, axis=1)
+    unseen = s.traces() > 0
     classes = 0
-    while unseen:
-        rep = unseen.pop()
+    while unseen.any():
+        rep = group[unseen.argmax()]
         classes += 1
-        for g, g_inv in pairs:
-            unseen.discard(tuple([g[rep[k]] for k in g_inv]))
+        # (g * rep * g^-1)(i) = g(rep(g^-1(i))), for every g at once
+        found = s.find(np.take_along_axis(group, rep[inverses], axis=1))
+        unseen[found[found >= 0]] = False
     return classes

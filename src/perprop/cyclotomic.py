@@ -7,11 +7,11 @@ The module also holds the package's one integer-polynomial product and
 monic long division; the residue fields reduce their results mod p.
 
 Complex embeddings (zeta -> exp(2*pi*i*m/e) for units m mod e) are given
-only as dyadic integer enclosures of |value|^2 (integer numerators over a
-power of two), built from Taylor series for cos/sin with certified
-remainders (pi itself enclosed via Machin's formula).  They are the one path
-on which the critical-orbit radius test is decided; no floating point is
-involved.
+only as dyadic integer enclosures of their real and imaginary parts and of
+|value|^2 (integer numerators over a power of two), built from Taylor series
+for cos/sin with certified remainders (pi itself enclosed via Machin's
+formula).  They are the one path on which the critical-orbit radius test
+is decided; no floating point is involved.
 """
 
 from __future__ import annotations
@@ -285,9 +285,9 @@ def abs_sq_shift(bits: int) -> int:
     return 2 * (bits + GUARD_BITS)
 
 
-def embedding_abs_sq_intervals(a, e: int, bits: int) -> list[tuple[int, int]]:
-    """Enclosures of |sigma_m(a)|^2 for all units m mod e, as integer
-    numerators (lo, hi) over 2^abs_sq_shift(bits)."""
+def embedding_intervals(a, e: int, bits: int) -> list[tuple[int, int, int, int]]:
+    """Enclosures (re_lo, re_hi, im_lo, im_hi) of sigma_m(a) for all units m
+    mod e, as integer numerators over 2^(bits + GUARD_BITS)."""
     unit = 1 << (bits + GUARD_BITS)
     out = []
     for m in units_mod(e):
@@ -304,6 +304,15 @@ def embedding_abs_sq_intervals(a, e: int, bits: int) -> list[tuple[int, int]]:
             re_hi += c * cos_hi
             im_lo += c * sin_lo
             im_hi += c * sin_hi
+        out.append((re_lo, re_hi, im_lo, im_hi))
+    return out
+
+
+def embedding_abs_sq_intervals(a, e: int, bits: int) -> list[tuple[int, int]]:
+    """Enclosures of |sigma_m(a)|^2 for all units m mod e, as integer
+    numerators (lo, hi) over 2^abs_sq_shift(bits)."""
+    out = []
+    for re_lo, re_hi, im_lo, im_hi in embedding_intervals(a, e, bits):
         re_sq, im_sq = _isquare(re_lo, re_hi), _isquare(im_lo, im_hi)
         out.append((re_sq[0] + im_sq[0], re_sq[1] + im_sq[1]))
     return out

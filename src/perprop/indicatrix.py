@@ -22,7 +22,9 @@ from fractions import Fraction
 from itertools import islice
 from math import ceil, lcm
 
-from .perms import PermSet, ResourceCapError, trace
+import numpy as np
+
+from .perms import PermSet, ResourceCapError
 
 DENOMINATOR_BIT_CAP = 128
 WORKING_PRECISION = 256
@@ -100,13 +102,8 @@ class IndicatrixPoly:
 
 def indicatrix_of(s: PermSet) -> IndicatrixPoly:
     """Indicatrix of a permutation set: coefficient k counts trace-k elements."""
-    if len(s) == 0:
-        raise ValueError("indicatrix of empty set")
-    counts = [0] * (s.degree + 1)
-    for p in s:
-        counts[trace(p)] += 1
-    total = len(s)
-    return IndicatrixPoly(tuple(Fraction(c, total) for c in counts))
+    counts = np.bincount(s.traces(), minlength=s.degree + 1)
+    return IndicatrixPoly(tuple(Fraction(int(c), len(s)) for c in counts))
 
 
 def value_at(f: IndicatrixPoly, x) -> Fraction:

@@ -1,11 +1,14 @@
 """Explicit permutation actions: traces, fixed-point proportions, small groups.
 
 Permutations act on the dense point set {0, ..., degree-1}.  Composition is
-"apply right, then left": (a * b)(i) = a(b(i)).  PermSet holds a finite,
-duplicate-free, canonically sorted collection of permutations of one degree,
-tagged as a full group or a plain set; a coset h*rep is a plain set.
-Everything here is immutable and meant for small explicit groups and
-brute-force oracles, not for computational group theory at scale.
+"apply right, then left": (a * b)(i) = a(b(i)).  A single Permutation is an
+image tuple; a PermSet holds a finite, duplicate-free collection of
+permutations of one degree as one read-only int16 array of image rows in
+lexicographic order, tagged as a full group or a plain set; a coset h*rep is
+a plain set.  Fixed-point counts, membership and conjugation act on the
+whole array at once.  Everything here is immutable and meant for small
+explicit groups and brute-force oracles, not for computational group theory
+at scale.
 """
 
 from __future__ import annotations
@@ -13,6 +16,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 DEGREE_CAP = 10_000
 
@@ -21,7 +27,7 @@ class ResourceCapError(Exception):
     """An enumeration or size cap was exceeded; the message names the need."""
 
 
-def _check_degree(n: int) -> None:
+def check_degree(n: int) -> None:
     if not 1 <= n <= DEGREE_CAP:
         raise ValueError(f"degree must be in [1, {DEGREE_CAP}], got {n}")
 
@@ -34,7 +40,7 @@ class Permutation:
 
     def __post_init__(self):
         n = len(self.images)
-        _check_degree(n)
+        check_degree(n)
         if sorted(self.images) != list(range(n)):
             raise ValueError("images is not a bijection of {0, ..., n-1}")
 
@@ -80,13 +86,13 @@ class Permutation:
 
 
 def identity(degree: int) -> Permutation:
-    _check_degree(degree)
+    check_degree(degree)
     return Permutation(tuple(range(degree)))
 
 
 def from_cycles(text: str, degree: int) -> Permutation:
     """Parse cycle notation like "(0 1 2)(3 4)"; points not mentioned are fixed."""
-    _check_degree(degree)
+    check_degree(degree)
     images = list(range(degree))
     moved: set[int] = set()
     body = text.strip()
@@ -114,63 +120,108 @@ def trace(p: Permutation) -> int:
     return sum(1 for i, j in enumerate(p.images) if i == j)
 
 
-@dataclass(frozen=True)
+def _row_keys(rows) -> np.ndarray:
+    """One bytes key per image row, whose order is the rows' lexicographic
+    order: entries lie in [0, 2^15), so their big-endian bytes compare as
+    the numbers do."""
+    rows = np.ascontiguousarray(rows, dtype=">u2")
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
 class PermSet:
     """A nonempty duplicate-free set of same-degree permutations.
 
-    kind is "group" or "plain".  Elements are kept sorted by image tuple so
-    equal sets compare equal and iteration order is deterministic.
+    images is one read-only (N, degree) int16 array, an image row per
+    element, in lexicographic row order, so equal sets compare equal and
+    iteration order is deterministic; int16 holds every point because
+    DEGREE_CAP < 2^15.  The constructor checks the degree, the range and
+    bijectivity of every row and that no row repeats, on the whole array at
+    once.  kind is "group" or "plain".  Iteration yields Permutations, for
+    small sets.
     """
 
-    degree: int
-    elements: tuple[Permutation, ...]
-    kind: str = "plain"
-
-    def __post_init__(self):
-        if not self.elements:
-            raise ValueError("PermSet must be nonempty")
-        if self.kind not in ("group", "plain"):
-            raise ValueError(f"bad kind {self.kind!r}")
-        if any(p.degree != self.degree for p in self.elements):
-            raise ValueError("mixed degrees in PermSet")
-        imgs = [p.images for p in self.elements]
-        if len(set(imgs)) != len(imgs):
+    def __init__(self, images, kind: str = "plain"):
+        if kind not in ("group", "plain"):
+            raise ValueError(f"bad kind {kind!r}")
+        try:
+            rows = np.asarray(images)
+        except ValueError:  # rows of different lengths
+            raise ValueError("mixed degrees in PermSet") from None
+        if rows.ndim != 2 or len(rows) == 0 or rows.dtype.kind not in "iu":
+            raise ValueError("PermSet needs a nonempty (N, degree) array of integer images")
+        degree = rows.shape[1]
+        check_degree(degree)
+        # the range is checked before the cast, so no entry wraps
+        if rows.min() < 0 or rows.max() >= degree:
+            raise ValueError(f"an image lies outside {{0, ..., {degree - 1}}}")
+        rows = rows.astype(np.int16, copy=False)
+        if not (np.sort(rows, axis=1) == np.arange(degree, dtype=np.int16)).all():
+            raise ValueError("a row is not a bijection of {0, ..., n-1}")
+        rows = rows[np.lexsort(rows.T[::-1])]
+        if not (rows[1:] != rows[:-1]).any(axis=1).all():
             raise ValueError("duplicate elements in PermSet")
-        if imgs != sorted(imgs):
-            object.__setattr__(
-                self,
-                "elements",
-                tuple(sorted(self.elements, key=lambda p: p.images)),
-            )
+        rows.flags.writeable = False
+        self.images = rows
+        self.kind = kind
+
+    @property
+    def degree(self) -> int:
+        return self.images.shape[1]
+
+    @property
+    def elements(self) -> tuple[Permutation, ...]:
+        """The elements as Permutations, in row order (small sets)."""
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.images)
 
     def __iter__(self):
-        return iter(self.elements)
+        return (Permutation(tuple(row)) for row in self.images.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PermSet):
+            return NotImplemented
+        return self.kind == other.kind and np.array_equal(self.images, other.images)
+
+    def __repr__(self) -> str:
+        return f"PermSet(degree={self.degree}, size={len(self)}, kind={self.kind!r})"
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        return _row_keys(self.images)
+
+    def find(self, rows) -> np.ndarray:
+        """Position of each image row (of this degree) in the set, or -1 where
+        the row is no member; a binary search on the sorted rows."""
+        keys = _row_keys(rows)
+        pos = np.searchsorted(self._keys, keys)
+        hit = self._keys[np.minimum(pos, len(self) - 1)] == keys
+        return np.where(hit, pos, -1)
 
     def __contains__(self, p: Permutation) -> bool:
-        return any(q.images == p.images for q in self.elements)
+        return p.degree == self.degree and self.find([p.images])[0] >= 0
+
+    def traces(self) -> np.ndarray:
+        """Fixed-point count of every element, in row order."""
+        return (self.images == np.arange(self.degree, dtype=np.int16)).sum(axis=1)
 
     def verify_group(self) -> bool:
         """Exhaustively check identity, closure and inverses."""
-        elems = set(p.images for p in self.elements)
+        elems = set(p.images for p in self)
         if tuple(range(self.degree)) not in elems:
             return False
-        for a in self.elements:
+        for a in self:
             if a.inverse().images not in elems:
                 return False
-            for b in self.elements:
+            for b in self:
                 if (a * b).images not in elems:
                     return False
         return True
 
 
 def permset(elements, kind: str = "plain") -> PermSet:
-    elems = tuple(elements)
-    if not elems:
-        raise ValueError("empty permutation set")
-    return PermSet(degree=elems[0].degree, elements=elems, kind=kind)
+    return PermSet([p.images for p in elements], kind=kind)
 
 
 def coset(group: PermSet, rep: Permutation) -> PermSet:
@@ -208,46 +259,36 @@ def close_under_composition(generators, cap: int = 1_000_000) -> PermSet:
 
 def cyclic_group(n: int) -> PermSet:
     """C_n acting on n points by rotation."""
-    _check_degree(n)
+    check_degree(n)
     shift = Permutation(tuple((i + 1) % n for i in range(n)))
     return close_under_composition([shift])
 
 
 def symmetric_group(n: int) -> PermSet:
-    """S_n as the explicit list of all n! permutations."""
-    _check_degree(n)
-    elems = [Permutation(p) for p in itertools.permutations(range(n))]
-    return permset(elems, kind="group")
+    """S_n, all n! permutations of n points."""
+    check_degree(n)
+    return PermSet(list(itertools.permutations(range(n))), kind="group")
 
 
 def fpp(s: PermSet) -> Fraction:
     """Proportion of elements fixing at least one point, as an exact rational."""
-    if len(s) == 0:
-        raise ValueError("fpp of empty set")
-    fixing = sum(1 for p in s if trace(p) > 0)
-    return Fraction(fixing, len(s))
+    return Fraction(int(np.count_nonzero(s.traces())), len(s))
 
 
 def mean_trace(s: PermSet) -> Fraction:
     """Average number of fixed points over the set; 1 for cosets of transitive groups."""
-    if len(s) == 0:
-        raise ValueError("mean_trace of empty set")
-    return Fraction(sum(trace(p) for p in s), len(s))
+    return Fraction(int(s.traces().sum()), len(s))
 
 
 def is_transitive(s: PermSet) -> bool:
     """Whether the orbit of point 0 under the group is everything."""
     if s.kind != "group":
         raise ValueError("is_transitive requires kind='group'")
-    orbit = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for p in s:
-                j = p.images[i]
-                if j not in orbit:
-                    orbit.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    return len(orbit) == s.degree
+    orbit = np.zeros(s.degree, dtype=bool)
+    orbit[0] = True
+    while True:
+        reached = orbit.copy()
+        reached[s.images[:, orbit]] = True
+        if np.array_equal(reached, orbit):
+            return bool(orbit.all())
+        orbit = reached

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
+import numpy as np
+
 from . import cyclotomic as cyc
 from .perms import PermSet, Permutation, ResourceCapError, coset, permset
 
@@ -156,14 +158,14 @@ def b_n_permset(d: int, e: int, n: int, cap: int = 1_000_000) -> PermSet:
         raise ResourceCapError(
             f"B_n enumeration needs {expected} elements, cap is {cap}"
         )
-    elems = []
+    cosets = []
     for m in data.A:
         level = data.coset_permset(m)
         current = level
         for _ in range(n - 1):
             current = coset_wreath(current, level, cap=cap)
-        elems.extend(current.elements)
-    return permset(elems, kind="group")
+        cosets.append(current.images)
+    return PermSet(np.concatenate(cosets), kind="group")
 
 
 def coset_status(m: int, d: int) -> CosetStatus:
@@ -252,26 +254,53 @@ class OrbitReport:
 
 
 @lru_cache(maxsize=None)
-def _radius_squares(c, e: int, bits: int) -> tuple[int, int]:
-    """Integer bounds (lo, hi) on the squared escape radius
-    (1 + max |embedding of c|)^2, as numerators over 2^abs_sq_shift(bits)."""
+def _radius_roots(c, e: int, bits: int) -> tuple[int, int]:
+    """Integer bounds (r_lo, r_hi) on the escape radius 1 + max |embedding of
+    c|, as numerators over 2^(bits + GUARD_BITS)."""
     one = 1 << (bits + cyc.GUARD_BITS)
     c_sq = cyc.embedding_abs_sq_intervals(c, e, bits)
     c_lo = max(lo for lo, _ in c_sq)
     c_hi = max(hi for _, hi in c_sq)
     r_lo = one + isqrt(c_lo)
     r_hi = one + (isqrt(c_hi - 1) + 1 if c_hi else 0)  # ceil(sqrt(c_hi))
+    return r_lo, r_hi
+
+
+@lru_cache(maxsize=None)
+def _radius_squares(c, e: int, bits: int) -> tuple[int, int]:
+    """(r_lo^2, r_hi^2): bounds on the squared escape radius, as numerators
+    over 2^abs_sq_shift(bits)."""
+    r_lo, r_hi = _radius_roots(c, e, bits)
     return r_lo * r_lo, r_hi * r_hi
 
 
 def _radius_rung(z, c, e: int, bits: int) -> bool | None:
     """The radius check at one precision of dyadic integer enclosures: True
-    or False once certified, None while undecided."""
-    z_sq = cyc.embedding_abs_sq_intervals(z, e, bits)
+    or False once certified, None while undecided.
+
+    True when every embedding of z is certainly outside the radius, False
+    when some embedding is certainly inside.  Each embedding's real and
+    imaginary enclosures are first compared with the radius itself (for
+    integers x, r >= 0, x^2 > r^2 iff x > r), so only numbers no larger than
+    the radius are ever squared, never an iterate's huge endpoints.
+    """
+    r_lo, r_hi = _radius_roots(c, e, bits)
     r_lo_sq, r_hi_sq = _radius_squares(c, e, bits)
-    if all(lo > r_hi_sq for lo, _ in z_sq):
+    boxes = cyc.embedding_intervals(z, e, bits)
+
+    def outside(re_lo, re_hi, im_lo, im_hi) -> bool:
+        # smallest |Re| and |Im| over the enclosure
+        x, y = max(re_lo, -re_hi, 0), max(im_lo, -im_hi, 0)
+        return x > r_hi or y > r_hi or x * x + y * y > r_hi_sq
+
+    def inside(re_lo, re_hi, im_lo, im_hi) -> bool:
+        # largest |Re| and |Im| over the enclosure
+        x, y = max(-re_lo, re_hi), max(-im_lo, im_hi)
+        return x <= r_lo and y <= r_lo and x * x + y * y <= r_lo_sq
+
+    if all(outside(*box) for box in boxes):
         return True
-    if any(hi <= r_lo_sq for _, hi in z_sq):
+    if any(inside(*box) for box in boxes):
         return False
     return None
 
@@ -279,9 +308,9 @@ def _radius_rung(z, c, e: int, bits: int) -> bool | None:
 def _exceeds_radius(z, c, e: int) -> bool:
     """Certified check that every embedding of z exceeds 1 + max |embedding of c|.
 
-    One integer path: squared dyadic enclosures of |embedding of z| are
-    compared with the squared radius bounds at increasing precision, so no
-    square root of an iterate is taken (for e = 1 the first rung is exact).
+    One integer path: dyadic enclosures of every embedding of z are compared
+    with integer radius bounds at increasing precision, so no square root of
+    an iterate is taken (for e = 1 the first rung is exact).
     Undecidable cases count as "no", which only delays the escape
     certificate, never falsifies it.
     """

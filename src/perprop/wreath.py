@@ -3,20 +3,21 @@
 These enumerations are the independent oracle for the indicatrix recursion:
 the fixed-point proportion of an n-fold iterated wreath product must match
 1 minus the n-fold iterate of the base indicatrix at 0.  Each element
-(pi; tau_0..tau_{m-1}) is built directly as the image tuple of its action on
-m*d leaves, indexed block-major: (i, j) -> pi(i)*d + tau_i(j).  So the trace
-of an element is the sum of bottom traces over top-fixed blocks, which is
-exactly the identity the recursion manipulates.
+(pi; tau_0..tau_{m-1}) is the image row of its action on m*d leaves, indexed
+block-major: (i, j) -> pi(i)*d + tau_i(j).  So the trace of an element is
+the sum of bottom traces over top-fixed blocks, which is exactly the
+identity the recursion manipulates.
 
-Everything is an explicit list of permutations behind a hard enumeration cap;
-this module is an oracle, not a production path.
+Every element is enumerated, as one row of an int16 image array filled by
+broadcasting, behind a hard enumeration cap; this module is an oracle, not
+a production path.
 """
 
 from __future__ import annotations
 
-import itertools
+import numpy as np
 
-from .perms import PermSet, Permutation, ResourceCapError
+from .perms import PermSet, ResourceCapError, check_degree
 
 ENUMERATION_CAP = 1_000_000
 # Python's default limit on the digits of an int converted to str
@@ -32,23 +33,26 @@ def coset_wreath(top_set: PermSet, bottom_set: PermSet, cap: int = ENUMERATION_C
     inputs are cosets)."""
     m = top_set.degree
     d = bottom_set.degree
-    size = len(top_set) * len(bottom_set) ** m
+    p, q = len(top_set), len(bottom_set)
+    size = p * q**m
     if size > cap:
         raise ResourceCapError(
             f"wreath enumeration needs {size} elements, cap is {cap}"
         )
-    # shifted[t][b]: the images of bottom b placed in target block t
-    shifted = [
-        [tuple(t * d + j for j in tau.images) for tau in bottom_set]
-        for t in range(m)
-    ]
-    elems = [
-        Permutation(tuple(itertools.chain.from_iterable(blocks)))
-        for pi in top_set
-        for blocks in itertools.product(*(shifted[t] for t in pi.images))
-    ]
+    check_degree(m * d)  # so every leaf index below fits int16
+    shifted_tops = top_set.images * d
+    out = np.empty((p, q**m, m, d), dtype=np.int16)
+    for i in range(m):
+        # elements run over (pi, tau_0, ..., tau_{m-1}) in row-major order,
+        # so tau_i is axis 2 of this view of block i
+        block = out.reshape(p, q**i, q, q ** (m - 1 - i), m, d)[..., i, :]
+        np.add(
+            shifted_tops[:, i].reshape(p, 1, 1, 1, 1),
+            bottom_set.images.reshape(1, 1, q, 1, d),
+            out=block,
+        )
     kind = "group" if top_set.kind == bottom_set.kind == "group" else "plain"
-    return PermSet(degree=m * d, elements=tuple(elems), kind=kind)
+    return PermSet(out.reshape(size, m * d), kind=kind)
 
 
 def iterated_wreath(g: PermSet, n: int, cap: int = ENUMERATION_CAP) -> PermSet:

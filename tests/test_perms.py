@@ -2,11 +2,13 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perprop.perms import (
+    PermSet,
     Permutation,
     close_under_composition,
     coset,
@@ -92,6 +94,43 @@ def test_permset_rejects_duplicates_and_mixed_degrees():
         permset([identity(3), identity(3)])
     with pytest.raises(ValueError):
         permset([identity(3), identity(4)])
+
+
+def test_permset_array_validation():
+    # every row is checked on the array, and the range before the int16 cast:
+    # 2^16 + 1 would wrap to 1 and make (0, 2, 1) a bijection
+    with pytest.raises(ValueError, match="not a bijection"):
+        PermSet([(0, 1, 2), (0, 0, 2)])
+    for bad in [(0, 1, -1), (0, 1, 3), (0, 2, 2**16 + 1)]:
+        with pytest.raises(ValueError, match="outside"):
+            PermSet([(0, 1, 2), bad])
+    with pytest.raises(ValueError, match="duplicate"):
+        PermSet([(1, 0, 2), (0, 1, 2), (1, 0, 2)])
+    with pytest.raises(ValueError, match="mixed degrees"):
+        PermSet([(0, 1, 2), (1, 0)])
+    with pytest.raises(ValueError, match="degree must be in"):
+        PermSet(np.zeros((1, 0), dtype=np.int64))
+    for bad in [np.zeros((0, 3), dtype=np.int64), [(0.0, 1.0)], [0, 1]]:
+        with pytest.raises(ValueError, match="nonempty"):
+            PermSet(bad)
+
+
+def test_permset_is_a_sorted_read_only_int16_array():
+    rows = [(2, 0, 1), (0, 1, 2), (1, 0, 2)]
+    s = PermSet(rows, kind="group")
+    assert s.images.dtype == np.int16 and not s.images.flags.writeable
+    assert s.images.tolist() == sorted(map(list, rows))
+    assert s == PermSet(rows[::-1], kind="group") != PermSet(rows)
+    assert permset([identity(3), from_cycles("(0 1)", 3)]) == permset(
+        [from_cycles("(0 1)", 3), identity(3)]
+    )
+    assert [p.images for p in s] == sorted(rows)
+    assert s.traces().tolist() == [3, 1, 0]
+    # membership is a binary search on the sorted rows
+    assert s.find([(1, 0, 2), (0, 2, 1), (2, 0, 1)]).tolist() == [1, -1, 2]
+    assert from_cycles("(0 2 1)", 3) in s
+    assert from_cycles("(1 2)", 3) not in s
+    assert identity(4) not in s
 
 
 def test_group_closure_and_verify():

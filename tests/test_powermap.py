@@ -1,13 +1,16 @@
 import cmath
 import itertools
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from pathlib import Path
 
 import pytest
 
 from perprop import cyclotomic as cyc
+from perprop import powermap
 from perprop.bounds import sqrt_lower, sqrt_upper
 from perprop.indicatrix import indicatrix_of, value_at
 from perprop.perms import fpp, is_transitive, mean_trace, permset, trace
@@ -29,6 +32,9 @@ from perprop.powermap import (
     parse_setting,
     zero_orbit_report,
 )
+
+
+GOLDEN_EXACT_GROUP = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "exact_group.json"
 
 
 def brute_coset_all_fixed(m: int, d: int) -> bool:
@@ -331,19 +337,22 @@ def test_rational_radius_check_is_exact():
 _ORACLE_ORBIT_BITS = 2048
 
 
+def _coefficient_choices(e):
+    """Every nonzero c with coefficients in [-1, 1] for e in {3, 4, 5, 8};
+    40 seeded such c for e = 7 (of 2186)."""
+    cs = [c for c in itertools.product((-1, 0, 1), repeat=cyc.euler_phi(e)) if any(c)]
+    return random.Random(e).sample(cs, 40) if e == 7 else cs
+
+
 def test_radius_rungs_match_fraction_oracle():
     # every c with coefficients in [-1, 1] for d in 2..5, e in {3, 4, 5, 8}
     # (704 settings) plus 40 seeded such c per d for e = 7 (160 of 2912):
     # each of the 3381 iterates the orbit test visits below the bit cap has,
     # at every rung, the oracle's enclosures and True/False/undecided outcome
-    def coefficient_choices(e):
-        cs = [c for c in itertools.product((-1, 0, 1), repeat=cyc.euler_phi(e)) if any(c)]
-        return random.Random(e).sample(cs, 40) if e == 7 else cs
-
     settings = iterates = 0
     outcomes = {True: 0, False: 0, None: 0}
     for e in (3, 4, 5, 7, 8):
-        choices = coefficient_choices(e)
+        choices = _coefficient_choices(e)
         radii = {
             c: [_fraction_radius(_fraction_abs_sq(c, e, bits), bits) for bits in _SLOW_BITS]
             for c in choices
@@ -369,6 +378,51 @@ def test_radius_rungs_match_fraction_oracle():
                 if _exceeds_radius(z, c, e):
                     break
     assert (settings, iterates) == (864, 3381)
+    assert min(outcomes.values()) > 0
+
+
+def _squared_rung(z, c, e, bits):
+    """Oracle: one rung as the squared comparison, every endpoint of every
+    enclosure of z squared."""
+    r_lo_sq, r_hi_sq = _radius_squares(c, e, bits)
+    z_sq = cyc.embedding_abs_sq_intervals(z, e, bits)
+    if all(lo > r_hi_sq for lo, _ in z_sq):
+        return True
+    if any(hi <= r_lo_sq for _, hi in z_sq):
+        return False
+    return None
+
+
+def test_radius_rung_matches_squared_comparison(monkeypatch):
+    # every rung zero_orbit_report visits, for the settings of the Fraction
+    # oracle test and the first command of each slow stratum of the
+    # exact_group goldens, decides as the squared comparison does, on
+    # iterates far past the oracle test's bit cap
+    golden = json.loads(GOLDEN_EXACT_GROUP.read_text())
+    settings = [
+        CycSetting.make(d, e, c)
+        for e in (3, 4, 5, 7, 8)
+        for d, c in itertools.product(range(2, 6), _coefficient_choices(e))
+    ]
+    for stratum in golden["regime_slow_strata"]:
+        _, _, d, _, e, c_arg = stratum[0]["argv"]
+        settings.append(CycSetting.make(int(d), int(e), c_arg.removeprefix("-c=")))
+    rung = powermap._radius_rung
+    outcomes = {True: 0, False: 0, None: 0}
+    widest = 0
+
+    def checked(z, c, e, bits):
+        nonlocal widest
+        got = rung(z, c, e, bits)
+        assert got is _squared_rung(z, c, e, bits), (z, c, e, bits)
+        outcomes[got] += 1
+        widest = max(widest, *(abs(x).bit_length() for x in z))
+        return got
+
+    monkeypatch.setattr(powermap, "_radius_rung", checked)
+    for s in settings:
+        zero_orbit_report(s, 500)
+    assert widest > 10_000
     assert min(outcomes.values()) > 0
 
 

@@ -113,6 +113,17 @@ def test_enumeration_cap_enforced():
         iterated_wreath(c3, 3)
 
 
+def test_coset_wreath_checks_degree_before_int16_arithmetic():
+    # one element of degree 101 * 100 = 10,100 > DEGREE_CAP: refused before
+    # any leaf index is formed, so nothing wraps
+    with pytest.raises(ValueError, match="degree must be in"):
+        coset_wreath(permset([identity(101)]), permset([identity(100)]))
+    # degree 10,000 is the cap itself, and one dimension per block is no
+    # limit: 100 blocks of one bottom element
+    w = coset_wreath(permset([identity(100)]), permset([identity(100)]))
+    assert w.images.tolist() == [list(range(10_000))]
+
+
 def test_recursion_matches_enumeration_for_small_bases():
     # every base group of degree <= 3 and order <= 6 (transitivity not needed
     # for the composition identity), plus a few larger degrees
