@@ -122,12 +122,11 @@ def min_norm_for_delta(
     n: int,
     d: int,
     B_order: int,
-    A_order: int = 1,
     class_count_c: int | None = None,
 ) -> int:
     """Smallest q with error_term(q) < delta (the term decreases in q, so the
-    bound holds for every larger norm as well).  A_order is accepted for
-    interface symmetry; the threshold concerns only the decaying term."""
+    bound holds for every larger norm as well); class_count_c defaults to
+    B_order, the safe over-estimate."""
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")

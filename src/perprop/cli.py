@@ -118,6 +118,8 @@ def cmd_fpp(args) -> int:
     exact_form = bool(_merged(args, "exact", _bool_conv, default=False))
     if d < 2 or e < 1 or n < 1:
         raise UsageError("need d >= 2, e >= 1, n >= 1")
+    if epsilon is not None and not 0 < epsilon < 1:
+        raise UsageError("epsilon must be in (0, 1)")
     agg_lo = agg_hi = Fraction(0)
     count = 0
     for m, phi, lo, hi in coset_fpp_enclosures(d, e, n):
@@ -298,15 +300,11 @@ def cmd_sweep(args) -> int:
         lines.extend(_row_csv(r, exact_form) for r in rows)
         lines.extend(_summary_lines(rows, norm_bound, exact_form))
         text = "\n".join(lines) + "\n"
-    try:
-        if output in ("-", ""):
-            sys.stdout.write(text)
-        else:
-            with open(output, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(text)
-    except OSError as exc:
-        print(f"I/O failure: {exc}", file=sys.stderr)
-        return EXIT_IO
+    if output in ("-", ""):
+        sys.stdout.write(text)
+    else:
+        with open(output, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
     return EXIT_OK
 
 
@@ -359,6 +357,15 @@ def cmd_bound(args) -> int:
     grid = [int(tok) for tok in grid_text.replace(",", " ").split()]
     if not grid or min(grid) < 2:
         raise UsageError("q grid entries must be >= 2")
+    # a measured row is bounded at the norm of the prime it measures, q^f for
+    # an inert q; every entry is resolved before anything prints
+    primes = {}
+    if measure:
+        setting = pm.CycSetting.make(d, e, c_text)
+        for q in grid:
+            if not rf.is_prime(q):
+                raise UsageError(f"--measure needs prime grid entries, got {q}")
+            primes[q] = rf.primes_above(q, e)[0]
     A = pm.galois_A(d, e)
     A_order = len(A)
     B_order = A_order * wreath_order(d, d, n)
@@ -373,15 +380,10 @@ def cmd_bound(args) -> int:
         f"FPP(B_n)<={frac_str(fpp_up)} classes={class_count}"
     )
     violations = 0
-    setting = pm.CycSetting.make(d, e, c_text) if measure else None
     for q in grid:
-        # a measured row is bounded at the norm of the prime it measures,
-        # q^f for an inert q
         label, norm = f"q={q}", q
         if measure:
-            if not rf.is_prime(q):
-                raise UsageError(f"--measure needs prime grid entries, got {q}")
-            P = rf.primes_above(q, e)[0]
+            P = primes[q]
             norm = P.norm
             label += f" norm={norm}"
         err = bnd.error_term(norm, n, d, B_order, class_count)

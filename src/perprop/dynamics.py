@@ -64,17 +64,11 @@ class ReducedMap:
 
 def reduce_map(s: CycSetting, P: PrimeOfK) -> ReducedMap:
     """The reduction of x^d + c at the prime P (wild when p <= d)."""
-    c_bar = reduce_cyclotomic(s.c, P)
-    return ReducedMap(
-        field=P.field,
-        kind="power_plus_c",
-        degree=s.d,
-        c=c_bar,
-        wild=P.p <= s.d,
-    )
+    return power_map(P.field, s.d, reduce_cyclotomic(s.c, P))
 
 
-def power_map(field: ResidueField, d: int, c: Element, wild: Optional[bool] = None) -> ReducedMap:
+def power_map(field: ResidueField, d: int, c: Element) -> ReducedMap:
+    """x^d + c over the field, wild when p <= d."""
     if d < 1:
         raise ValueError("degree must be >= 1")
     return ReducedMap(
@@ -82,7 +76,7 @@ def power_map(field: ResidueField, d: int, c: Element, wild: Optional[bool] = No
         kind="power_plus_c",
         degree=d,
         c=tuple(c),
-        wild=field.p <= d if wild is None else wild,
+        wild=field.p <= d,
     )
 
 
@@ -137,13 +131,14 @@ def _check_int64(field: ResidueField) -> None:
         )
 
 
-def build_graph(m: ReducedMap, cap: int = MEMORY_CAP_POINTS) -> FunctionalGraph:
-    """Evaluate the map at every point of P^1(F_q)."""
+def build_graph(m: ReducedMap) -> FunctionalGraph:
+    """Evaluate the map at every point of P^1(F_q), of at most
+    MEMORY_CAP_POINTS points."""
     F = m.field
     q = F.q
     size = q + 1
-    if size > cap:
-        raise ResourceCapError(f"graph needs {size} points, cap is {cap}")
+    if size > MEMORY_CAP_POINTS:
+        raise ResourceCapError(f"graph needs {size} points, cap is {MEMORY_CAP_POINTS}")
     _check_int64(F)
     succ = np.empty(size, dtype=np.int64)
     for start in range(0, q, BLOCK):

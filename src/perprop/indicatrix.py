@@ -30,6 +30,7 @@ DENOMINATOR_BIT_CAP = 128
 WORKING_PRECISION = 256
 MAX_PRECISION = 4096
 MAX_ITERATION_STEPS = 200_000
+COMPOSE_DEGREE_CAP = 64
 
 
 class PrecisionExhaustedError(Exception):
@@ -120,11 +121,12 @@ def derivative_at_one(f: IndicatrixPoly) -> Fraction:
     return sum((Fraction(k) * c for k, c in enumerate(f.coeffs)), Fraction(0))
 
 
-def compose(f: IndicatrixPoly, g: IndicatrixPoly, max_degree: int = 64) -> IndicatrixPoly:
-    """Coefficient array of f(g(x)); only for small composite degree (test use)."""
-    if f.degree * g.degree > max_degree:
+def compose(f: IndicatrixPoly, g: IndicatrixPoly) -> IndicatrixPoly:
+    """Coefficient array of f(g(x)); only for composite degree at most
+    COMPOSE_DEGREE_CAP (test use)."""
+    if f.degree * g.degree > COMPOSE_DEGREE_CAP:
         raise ResourceCapError(
-            f"composite degree {f.degree * g.degree} exceeds {max_degree}"
+            f"composite degree {f.degree * g.degree} exceeds {COMPOSE_DEGREE_CAP}"
         )
     # Horner on polynomial coefficients
     acc = [Fraction(0)]

@@ -21,6 +21,8 @@ from functools import cached_property
 import numpy as np
 
 DEGREE_CAP = 10_000
+# The most elements any explicit enumeration (closure, wreath, B_n) may build.
+ENUMERATION_CAP = 1_000_000
 
 
 class ResourceCapError(Exception):
@@ -233,8 +235,9 @@ def coset(group: PermSet, rep: Permutation) -> PermSet:
     return permset(h * rep for h in group)
 
 
-def close_under_composition(generators, cap: int = 1_000_000) -> PermSet:
-    """Group generated by the given permutations, by breadth-first closure."""
+def close_under_composition(generators) -> PermSet:
+    """Group generated by the given permutations, by breadth-first closure of
+    at most ENUMERATION_CAP elements."""
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
@@ -249,9 +252,9 @@ def close_under_composition(generators, cap: int = 1_000_000) -> PermSet:
                 if c.images not in elems:
                     elems[c.images] = c
                     new.append(c)
-                    if len(elems) > cap:
+                    if len(elems) > ENUMERATION_CAP:
                         raise ResourceCapError(
-                            f"group closure exceeded cap of {cap} elements"
+                            f"group closure exceeded cap of {ENUMERATION_CAP} elements"
                         )
         boundary = new
     return permset(elems.values(), kind="group")

@@ -23,6 +23,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from . import cyclotomic as cyc
+from . import perms
 from .perms import PermSet, Permutation, ResourceCapError, coset, permset
 
 
@@ -46,10 +47,7 @@ class CycSetting:
     c: tuple[int, ...]
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("need degree d >= 2")
-        if self.e < 1:
-            raise ValueError("need conductor e >= 1")
+        _check_degree_and_conductor(self.d, self.e)
         if len(self.c) != cyc.euler_phi(self.e):
             raise ValueError(
                 f"c must have {cyc.euler_phi(self.e)} coefficients for e={self.e}"
@@ -57,6 +55,7 @@ class CycSetting:
 
     @classmethod
     def make(cls, d: int, e: int, c) -> "CycSetting":
+        _check_degree_and_conductor(d, e)  # before parsing c, which needs e
         if isinstance(c, int):
             c_vec = cyc.cyc_int(c, e)
         elif isinstance(c, str):
@@ -67,6 +66,13 @@ class CycSetting:
 
     def __str__(self) -> str:
         return f"d={self.d} e={self.e} c={cyc.format_cyclotomic(self.c)}"
+
+
+def _check_degree_and_conductor(d: int, e: int) -> None:
+    if d < 2:
+        raise ValueError("need degree d >= 2")
+    if e < 1:
+        raise ValueError("need conductor e >= 1")
 
 
 def parse_setting(text: str) -> CycSetting:
@@ -146,24 +152,25 @@ def build_B1(d: int, e: int) -> GaloisData:
     return GaloisData(d=d, e=e, A=A, G=G, B1=B1)
 
 
-def b_n_permset(d: int, e: int, n: int, cap: int = 1_000_000) -> PermSet:
+def b_n_permset(d: int, e: int, n: int) -> PermSet:
     """The full model group at level n as explicit permutations of d^n points:
     the union over multipliers of the n-fold wreath coset of each multiplier's
-    level-1 coset.  Brute force, for exact conjugacy-class counts."""
+    level-1 coset.  Brute force, for exact conjugacy-class counts, of at most
+    perms.ENUMERATION_CAP elements."""
     from .wreath import coset_wreath, wreath_order
 
     data = build_B1(d, e)
     expected = len(data.A) * wreath_order(d, d, n)
-    if expected > cap:
+    if expected > perms.ENUMERATION_CAP:
         raise ResourceCapError(
-            f"B_n enumeration needs {expected} elements, cap is {cap}"
+            f"B_n enumeration needs {expected} elements, cap is {perms.ENUMERATION_CAP}"
         )
     cosets = []
     for m in data.A:
         level = data.coset_permset(m)
         current = level
         for _ in range(n - 1):
-            current = coset_wreath(current, level, cap=cap)
+            current = coset_wreath(current, level)
         cosets.append(current.images)
     return PermSet(np.concatenate(cosets), kind="group")
 
@@ -208,9 +215,6 @@ class RegimeReport:
     witness_m: int | None  # multiplier whose whole coset fixes points
     cosets: tuple[CosetReport, ...]
 
-    def label(self) -> str:
-        return "(a)+(c)" if self.limsup_one else "(a)+(b)"
-
 
 def classify_regime(s: CycSetting, preper: Preperiodicity) -> RegimeReport:
     """Apply the trichotomy; requires the critical orbit of 0 to be infinite."""
@@ -254,24 +258,18 @@ class OrbitReport:
 
 
 @lru_cache(maxsize=None)
-def _radius_roots(c, e: int, bits: int) -> tuple[int, int]:
-    """Integer bounds (r_lo, r_hi) on the escape radius 1 + max |embedding of
-    c|, as numerators over 2^(bits + GUARD_BITS)."""
+def _radius_bounds(c, e: int, bits: int) -> tuple[int, int, int, int]:
+    """(r_lo, r_hi, r_lo^2, r_hi^2): integer bounds on the escape radius
+    1 + max |embedding of c|, as numerators over 2^(bits + GUARD_BITS), and
+    their squares, bounds on the squared radius as numerators over
+    2^abs_sq_shift(bits)."""
     one = 1 << (bits + cyc.GUARD_BITS)
     c_sq = cyc.embedding_abs_sq_intervals(c, e, bits)
     c_lo = max(lo for lo, _ in c_sq)
     c_hi = max(hi for _, hi in c_sq)
     r_lo = one + isqrt(c_lo)
     r_hi = one + (isqrt(c_hi - 1) + 1 if c_hi else 0)  # ceil(sqrt(c_hi))
-    return r_lo, r_hi
-
-
-@lru_cache(maxsize=None)
-def _radius_squares(c, e: int, bits: int) -> tuple[int, int]:
-    """(r_lo^2, r_hi^2): bounds on the squared escape radius, as numerators
-    over 2^abs_sq_shift(bits)."""
-    r_lo, r_hi = _radius_roots(c, e, bits)
-    return r_lo * r_lo, r_hi * r_hi
+    return r_lo, r_hi, r_lo * r_lo, r_hi * r_hi
 
 
 def _radius_rung(z, c, e: int, bits: int) -> bool | None:
@@ -284,8 +282,7 @@ def _radius_rung(z, c, e: int, bits: int) -> bool | None:
     integers x, r >= 0, x^2 > r^2 iff x > r), so only numbers no larger than
     the radius are ever squared, never an iterate's huge endpoints.
     """
-    r_lo, r_hi = _radius_roots(c, e, bits)
-    r_lo_sq, r_hi_sq = _radius_squares(c, e, bits)
+    r_lo, r_hi, r_lo_sq, r_hi_sq = _radius_bounds(c, e, bits)
     boxes = cyc.embedding_intervals(z, e, bits)
 
     def outside(re_lo, re_hi, im_lo, im_hi) -> bool:

@@ -9,24 +9,24 @@ the sum of bottom traces over top-fixed blocks, which is exactly the
 identity the recursion manipulates.
 
 Every element is enumerated, as one row of an int16 image array filled by
-broadcasting, behind a hard enumeration cap; this module is an oracle, not
-a production path.
+broadcasting, behind the hard enumeration cap perms.ENUMERATION_CAP; this
+module is an oracle, not a production path.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import perms
 from .perms import PermSet, ResourceCapError, check_degree
 
-ENUMERATION_CAP = 1_000_000
 # Python's default limit on the digits of an int converted to str
 MAX_ORDER_DIGITS = 4300
 _ORDER_LIMIT = 10**MAX_ORDER_DIGITS
 _ORDER_LIMIT_BITS = _ORDER_LIMIT.bit_length()
 
 
-def coset_wreath(top_set: PermSet, bottom_set: PermSet, cap: int = ENUMERATION_CAP) -> PermSet:
+def coset_wreath(top_set: PermSet, bottom_set: PermSet) -> PermSet:
     """Full product set {(pi; tau_0..tau_{m-1})} as permutations of m*d
     leaves, of size |top|*|bottom|^m.  Two groups wreath to a group; any other
     pair gives a plain set (a coset of the wreath of the groups, when the
@@ -35,9 +35,9 @@ def coset_wreath(top_set: PermSet, bottom_set: PermSet, cap: int = ENUMERATION_C
     d = bottom_set.degree
     p, q = len(top_set), len(bottom_set)
     size = p * q**m
-    if size > cap:
+    if size > perms.ENUMERATION_CAP:
         raise ResourceCapError(
-            f"wreath enumeration needs {size} elements, cap is {cap}"
+            f"wreath enumeration needs {size} elements, cap is {perms.ENUMERATION_CAP}"
         )
     check_degree(m * d)  # so every leaf index below fits int16
     shifted_tops = top_set.images * d
@@ -55,18 +55,18 @@ def coset_wreath(top_set: PermSet, bottom_set: PermSet, cap: int = ENUMERATION_C
     return PermSet(out.reshape(size, m * d), kind=kind)
 
 
-def iterated_wreath(g: PermSet, n: int, cap: int = ENUMERATION_CAP) -> PermSet:
+def iterated_wreath(g: PermSet, n: int) -> PermSet:
     """n-fold iterated wreath product of g with itself (n=1 gives g back)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     expected = wreath_order(len(g), g.degree, n)
-    if expected > cap:
+    if expected > perms.ENUMERATION_CAP:
         raise ResourceCapError(
-            f"iterated wreath needs {expected} elements, cap is {cap}"
+            f"iterated wreath needs {expected} elements, cap is {perms.ENUMERATION_CAP}"
         )
     acc = g
     for _ in range(n - 1):
-        acc = coset_wreath(acc, g, cap=cap)
+        acc = coset_wreath(acc, g)
     return acc
 
 

@@ -97,7 +97,7 @@ def test_min_norm_for_delta_examples():
     q = min_norm_for_delta(1, 1, 2, 2)
     assert error_term(q, 1, 2, 2, 2) < 1
     assert q == 2 or error_term(q - 1, 1, 2, 2, 2) >= 1
-    q = min_norm_for_delta(F(1, 10), 2, 3, 162, 2, 162)
+    q = min_norm_for_delta(F(1, 10), 2, 3, 162, class_count_c=162)
     assert error_term(q, 2, 3, 162, 162) < F(1, 10)
     assert error_term(q - 1, 2, 3, 162, 162) >= F(1, 10)
     # shrinking delta grows the threshold

@@ -45,6 +45,24 @@ def test_fpp_usage_error(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("epsilon", ["2", "0", "1"])
+def test_fpp_epsilon_out_of_range_is_reported_before_output(capsys, epsilon):
+    code, out, err = run(capsys, "fpp", "-d", "2", "-n", "1", "--epsilon", epsilon)
+    assert (code, out) == (2, "")
+    assert err == "usage error: epsilon must be in (0, 1)\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("regime", "-d", "2", "-e", "0", "-c=1"), "need conductor e >= 1"),
+    (("sweep", "-d", "2", "-e", "-4", "-c=1", "-N", "10"), "need conductor e >= 1"),
+    (("regime", "-d", "1", "-e", "0", "-c=1"), "need degree d >= 2"),
+])
+def test_bad_degree_or_conductor_is_reported_as_itself(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: {message}\n"
+
+
 def test_regime_c_output(capsys):
     code, out, _ = run(capsys, "regime", "-d", "3", "-e", "1", "-c", "1")
     assert code == 0
@@ -191,6 +209,17 @@ def test_bound_measure(capsys):
     code, _, err = run(capsys, "bound", "-d", "3", "-e", "1", "-n", "1",
                        "-q", "10008", "--measure")
     assert code == 2
+
+
+@pytest.mark.parametrize("e, grid, message", [
+    ("3", "7,3", "p=3 ramifies in Q(zeta_3)"),
+    ("1", "7,9", "--measure needs prime grid entries, got 9"),
+])
+def test_bound_measure_rejects_a_grid_entry_before_output(capsys, e, grid, message):
+    code, out, err = run(capsys, "bound", "-d", "2", "-e", e, "-n", "1", "-q", grid,
+                         "--measure")
+    assert (code, out) == (2, "")
+    assert err == f"usage error: {message}\n"
 
 
 def test_bound_measure_inert_prime_uses_norm(capsys):

@@ -277,10 +277,13 @@ def test_extension_field_graph():
     assert not is_bijective(g)
 
 
-def test_memory_cap():
+def test_memory_cap(monkeypatch):
+    from perprop import dynamics
+
+    monkeypatch.setattr(dynamics, "MEMORY_CAP_POINTS", 4)
     field = make_field(5, 1)
     with pytest.raises(ResourceCapError):
-        build_graph(power_map(field, 2, (1,)), cap=4)
+        build_graph(power_map(field, 2, (1,)))
 
 
 def test_int64_guard():

@@ -21,8 +21,8 @@ from perprop.powermap import (
     CycSetting,
     Preperiodicity,
     _exceeds_radius,
+    _radius_bounds,
     _radius_rung,
-    _radius_squares,
     b_n_permset,
     build_B1,
     classify_regime,
@@ -296,7 +296,7 @@ def test_radius_squares():
         k = bits + cyc.GUARD_BITS
         for c in range(-5, 6):
             expected = ((1 + abs(c)) << k) ** 2
-            assert _radius_squares((c,), 1, bits) == (expected, expected), (c, bits)
+            assert _radius_bounds((c,), 1, bits)[2:] == (expected, expected), (c, bits)
     # other conductors: the bounds enclose (1 + max |sigma(c)|)^2
     rng = random.Random(8)
     for e in (3, 4, 5, 7, 8):
@@ -307,7 +307,7 @@ def test_radius_squares():
                 for m in cyc.units_mod(e)
             )
             for bits in _SLOW_BITS:
-                lo, hi = _radius_squares(c, e, bits)
+                lo, hi = _radius_bounds(c, e, bits)[2:]
                 den = 1 << cyc.abs_sq_shift(bits)
                 # r_lo - 1 and r_hi - 1 are the floor and ceiling square roots
                 # of the largest lower and upper ends of c's enclosures
@@ -384,7 +384,7 @@ def test_radius_rungs_match_fraction_oracle():
 def _squared_rung(z, c, e, bits):
     """Oracle: one rung as the squared comparison, every endpoint of every
     enclosure of z squared."""
-    r_lo_sq, r_hi_sq = _radius_squares(c, e, bits)
+    r_lo_sq, r_hi_sq = _radius_bounds(c, e, bits)[2:]
     z_sq = cyc.embedding_abs_sq_intervals(z, e, bits)
     if all(lo > r_hi_sq for lo, _ in z_sq):
         return True

@@ -113,6 +113,28 @@ def test_enumeration_cap_enforced():
         iterated_wreath(c3, 3)
 
 
+def test_one_enumeration_cap_governs_every_enumeration(monkeypatch):
+    from perprop import perms
+
+    c2 = cyclic_group(2)
+    six_cycle = from_cycles("(0 1 2 3 4 5)", 6)
+    builds = [
+        (lambda: perms.close_under_composition([six_cycle]), "exceeded cap of 5 elements"),
+        (lambda: coset_wreath(c2, c2), "needs 8 elements, cap is 5"),
+        (lambda: iterated_wreath(c2, 2), "needs 8 elements, cap is 5"),
+        (lambda: b_n_permset(2, 1, 2), "needs 8 elements, cap is 5"),
+    ]
+    monkeypatch.setattr(perms, "ENUMERATION_CAP", 5)
+    for build, message in builds:
+        with pytest.raises(ResourceCapError, match=message):
+            build()
+    # a need equal to the cap is within it
+    monkeypatch.setattr(perms, "ENUMERATION_CAP", 8)
+    assert len(perms.close_under_composition([from_cycles("(0 1 2 3 4 5 6 7)", 8)])) == 8
+    for build, _ in builds[1:]:
+        assert len(build()) == 8
+
+
 def test_coset_wreath_checks_degree_before_int16_arithmetic():
     # one element of degree 101 * 100 = 10,100 > DEGREE_CAP: refused before
     # any leaf index is formed, so nothing wraps
