@@ -33,7 +33,6 @@ from .indicatrix import (
 )
 from .wreath import coset_wreath, iterated_wreath, wreath_order
 from .powermap import (
-    AffineElement,
     CosetStatus,
     CycSetting,
     GaloisData,
@@ -41,10 +40,10 @@ from .powermap import (
     RegimeReport,
     build_B1,
     classify_regime,
+    coset_indicatrix,
     coset_status,
     galois_A,
     is_zero_preperiodic,
-    parse_setting,
     zero_orbit_report,
 )
 from .residue_fields import (
@@ -70,13 +69,9 @@ from .dynamics import (
     reduce_map,
 )
 from .bounds import (
-    BoundInputs,
     error_term,
     fix_class_count,
     genus_bound,
-    min_norm_for_delta,
-    murty_deviation,
-    proportion_bound,
     ramified_bound,
 )
 

@@ -13,7 +13,6 @@ ramified-point count by tracking critical images through n iterates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -44,40 +43,6 @@ def sqrt_lower(x, bits: int = SQRT_BITS) -> Fraction:
     return Fraction(isqrt(n), x.denominator << bits)
 
 
-@dataclass(frozen=True)
-class BoundInputs:
-    """Inputs to the deviation and proportion bounds.
-
-    q: residue field size; m: degree of the residue extension picked up by
-    the constant field; n: iterate; d: map degree; B_order: order of the
-    reduced splitting group; C_size: size of one conjugacy class;
-    fpp_value: fixed-point proportion of the model group; A_order: degree of
-    the constant-field extension; class_count_c: number of conjugacy classes
-    meeting the fixing set (any over-estimate is sound; B_order is the safe
-    default).
-    """
-
-    q: int
-    m: int
-    n: int
-    d: int
-    B_order: int
-    fpp_value: Fraction
-    A_order: int
-    class_count_c: int
-    C_size: int = 1
-
-    def __post_init__(self):
-        if min(self.q, self.m, self.n, self.d, self.B_order, self.A_order) < 1:
-            raise ValueError("all scalar inputs must be positive")
-        if self.C_size < 0 or self.class_count_c < 0:
-            raise ValueError("class counts must be nonnegative")
-        if not 0 <= self.fpp_value <= 1:
-            raise ValueError("fpp_value must lie in [0, 1]")
-        if self.m > self.A_order:
-            raise ValueError("residue extension degree cannot exceed A_order")
-
-
 def genus_bound(B_order: int, n: int, d: int) -> int:
     """Riemann-Hurwitz estimate: B_order * n * (2d - 2)."""
     if B_order < 1 or n < 1 or d < 1:
@@ -92,62 +57,22 @@ def ramified_bound(n: int, d: int) -> int:
     return n * (2 * d - 2)
 
 
-def murty_deviation(inputs: BoundInputs, genus: int, R_count: int) -> Fraction:
-    """Upper bound on the deviation of a Frobenius class count:
-    2*sqrt(q)*(genus*C/B + C) + (1 + C)*R, outward-rounded."""
-    C = Fraction(inputs.C_size)
-    main = 2 * sqrt_upper(inputs.q) * (Fraction(genus) * C / inputs.B_order + C)
-    return main + (1 + C) * R_count
-
-
 def error_term(q: int, n: int, d: int, B_order: int, class_count_c: int) -> Fraction:
-    """The q-decaying part of the proportion bound (everything but m*FPP)."""
+    """The q-decaying part of the proportion bound (everything but |A|*FPP).
+
+    For a conjugacy class C of the reduced splitting group B, the number of
+    unramified points of P^1(F_q) with Frobenius in C sits within
+    2*sqrt(q)*(genus*|C|/|B| + |C|) + (1 + |C|)*R of its share |C|/|B| of
+    them, with R = ramified_bound(n, d).  Summed over the class_count_c
+    classes meeting the fixing set (sizes totalling at most |B|), plus R for
+    the ramified points themselves, over the q + 1 points, with genus =
+    genus_bound and sqrt(q) rounded up, this is the term returned.
+    """
     g = genus_bound(B_order, n, d)
     r = ramified_bound(n, d)
     return (2 * sqrt_upper(q) / (q + 1)) * (g + B_order) + Fraction(
         (class_count_c + B_order + 1) * r, q + 1
     )
-
-
-def proportion_bound(inputs: BoundInputs) -> Fraction:
-    """Upper bound on the image proportion of the n-th iterate (hence on the
-    periodic proportion): A_order*FPP + the decaying error term."""
-    return inputs.A_order * inputs.fpp_value + error_term(
-        inputs.q, inputs.n, inputs.d, inputs.B_order, inputs.class_count_c
-    )
-
-
-def min_norm_for_delta(
-    delta,
-    n: int,
-    d: int,
-    B_order: int,
-    class_count_c: int | None = None,
-) -> int:
-    """Smallest q with error_term(q) < delta (the term decreases in q, so the
-    bound holds for every larger norm as well); class_count_c defaults to
-    B_order, the safe over-estimate."""
-    delta = Fraction(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if class_count_c is None:
-        class_count_c = B_order
-
-    def err(q: int) -> Fraction:
-        return error_term(q, n, d, B_order, class_count_c)
-
-    lo, hi = 1, 2
-    while err(hi) >= delta:
-        lo, hi = hi, hi * 2
-    if err(2) < delta:
-        return 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if err(mid) < delta:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def fix_class_count(s: PermSet) -> int:

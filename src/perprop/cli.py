@@ -31,7 +31,7 @@ from . import dynamics as dyn
 from . import indicatrix as ind
 from . import powermap as pm
 from . import residue_fields as rf
-from .perms import ResourceCapError, cyclic_group, fpp, symmetric_group
+from .perms import ResourceCapError, check_degree, cyclic_group, fpp, symmetric_group
 from .wreath import iterated_wreath, wreath_order
 
 EXIT_OK = 0
@@ -76,15 +76,24 @@ def read_config(path: str) -> dict[str, str]:
     return cfg
 
 
+def _converted(option: str, conv, text: str):
+    """conv(text), with a failure reported as a usage error naming option."""
+    try:
+        return conv(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"bad value for {option}: {text!r}") from None
+
+
 def _merged(args, key: str, conv, default=None, required: bool = False):
+    option = f"-{key}" if len(key) == 1 else f"--{key.replace('_', '-')}"
     value = getattr(args, key, None)
     if value is None:
         value = args.config_values.get(key)
     if value is None:
         if required:
-            raise UsageError(f"missing required option --{key.replace('_', '-')}")
+            raise UsageError(f"missing required option {option}")
         return default
-    return conv(value) if isinstance(value, str) else value
+    return _converted(option, conv, value) if isinstance(value, str) else value
 
 
 def _bool_conv(text: str) -> bool:
@@ -97,9 +106,9 @@ def coset_fpp_enclosures(d: int, e: int, n: int):
     """Yield (m, phi, lo, hi) for each multiplier m of the model group over
     Q(zeta_e): phi is the indicatrix of m's level-1 coset and [lo, hi]
     encloses 1 - phi^n(0), the fixed-point proportion of its n-th iterate."""
-    data = pm.build_B1(d, e)
-    for m in data.A:
-        phi = ind.indicatrix_of(data.coset_permset(m))
+    check_degree(d)  # phi has degree up to d and is iterated by dense Horner
+    for m in pm.galois_A(d, e):
+        phi = pm.coset_indicatrix(m, d)
         iv = ind.iterate_at_zero(phi, n)
         yield m, phi, 1 - iv.hi, 1 - iv.lo
 
@@ -354,14 +363,15 @@ def cmd_bound(args) -> int:
     c_text = _merged(args, "c", str, default="1")
     if classes_mode not in ("safe", "exact"):
         raise UsageError("--classes must be 'safe' or 'exact'")
-    grid = [int(tok) for tok in grid_text.replace(",", " ").split()]
+    grid = [_converted("--q-grid", int, tok)
+            for tok in grid_text.replace(",", " ").split()]
     if not grid or min(grid) < 2:
         raise UsageError("q grid entries must be >= 2")
+    setting = pm.CycSetting.make(d, e, c_text)  # refuses a bad -c even unmeasured
     # a measured row is bounded at the norm of the prime it measures, q^f for
     # an inert q; every entry is resolved before anything prints
     primes = {}
     if measure:
-        setting = pm.CycSetting.make(d, e, c_text)
         for q in grid:
             if not rf.is_prime(q):
                 raise UsageError(f"--measure needs prime grid entries, got {q}")

@@ -4,19 +4,21 @@ The splitting field of x^d + c - t picks up the d-th roots of unity, and the
 Galois group over the base is generated by affine maps i -> m*i + j on Z/d:
 translations form the geometric part (a d-cycle group), while the multiplier
 m ranges over the units fixing the base field's roots of unity.  An affine
-element has a fixed point exactly when gcd(m-1, d) divides j, which drives
-the trichotomy: the periodic proportion of the reduced maps always has
-liminf 0; it tends to 0 when every multiplier coset contains a fixed-point-
-free element, and has limsup 1 when some multiplier's whole coset fixes
-points.  All of this is conditional on the critical orbit of 0 being
-infinite, which is tested exactly on the cyclotomic integers with a
-certified escape-radius argument.
+element has a fixed point exactly when g = gcd(m-1, d) divides j, and then
+fixes g points.  That rule gives each coset's indicatrix in closed form (the
+explicit cosets remain as an oracle) and drives the trichotomy: the periodic
+proportion of the reduced maps always has liminf 0; it tends to 0 when every
+multiplier coset contains a fixed-point-free element, and has limsup 1 when
+some multiplier's whole coset fixes points.  All of this is conditional on
+the critical orbit of 0 being infinite, which is tested exactly on the
+cyclotomic integers with a certified escape-radius argument.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -24,7 +26,8 @@ import numpy as np
 
 from . import cyclotomic as cyc
 from . import perms
-from .perms import PermSet, Permutation, ResourceCapError, coset, permset
+from .indicatrix import IndicatrixPoly
+from .perms import PermSet, ResourceCapError
 
 
 class Preperiodicity(enum.Enum):
@@ -75,60 +78,21 @@ def _check_degree_and_conductor(d: int, e: int) -> None:
         raise ValueError("need conductor e >= 1")
 
 
-def parse_setting(text: str) -> CycSetting:
-    """Parse "d=3 e=1 c=1" (c may be a z-polynomial like "1+2z")."""
-    fields: dict[str, str] = {}
-    for tok in text.split():
-        if "=" not in tok:
-            raise ValueError(f"bad token {tok!r} in setting {text!r}")
-        key, val = tok.split("=", 1)
-        fields[key] = val
-    try:
-        d = int(fields["d"])
-        e = int(fields.get("e", "1"))
-        c = fields["c"]
-    except KeyError as missing:
-        raise ValueError(f"setting {text!r} missing {missing}") from None
-    return CycSetting.make(d, e, c)
-
-
-@dataclass(frozen=True)
-class AffineElement:
-    """The map i -> m*i + j on Z/d (m a unit); the action on the d roots."""
-
-    m: int
-    j: int
-    d: int
-
-    def __post_init__(self):
-        if gcd(self.m, self.d) != 1:
-            raise ValueError(f"multiplier {self.m} not a unit mod {self.d}")
-        if not (0 <= self.m < self.d and 0 <= self.j < self.d):
-            raise ValueError("m and j must be reduced mod d")
-
-    def apply(self, i: int) -> int:
-        return (self.m * i + self.j) % self.d
-
-    def as_permutation(self) -> Permutation:
-        return Permutation(tuple(self.apply(i) for i in range(self.d)))
-
-
 @dataclass(frozen=True)
 class GaloisData:
-    """Multipliers A, the translation group, and the full affine group list."""
+    """The model's degree d, conductor e and multipliers A."""
 
     d: int
     e: int
     A: tuple[int, ...]
-    G: PermSet
-    B1: tuple[AffineElement, ...]
 
     def coset_permset(self, m: int) -> PermSet:
-        """The coset {i -> m*i + j : j} flattened to permutations of Z/d."""
+        """The coset {i -> m*i + j : j} as a set of permutations of Z/d: row j
+        is (m*i + j) mod d."""
         if m not in self.A:
             raise ValueError(f"multiplier {m} not in A={self.A}")
-        rep = AffineElement(m % self.d, 0, self.d).as_permutation()
-        return coset(self.G, rep)
+        i = np.arange(self.d)
+        return PermSet((m * i + i[:, None]) % self.d)
 
 
 def galois_A(d: int, e: int) -> tuple[int, ...]:
@@ -143,13 +107,10 @@ def galois_A(d: int, e: int) -> tuple[int, ...]:
 
 
 def build_B1(d: int, e: int) -> GaloisData:
-    """All affine elements {i -> m*i + j : m in A, j in Z/d} for x^d + c over
-    Q(zeta_e), whatever c is."""
-    A = galois_A(d, e)
-    translations = [AffineElement(1, j, d).as_permutation() for j in range(d)]
-    G = permset(translations, kind="group")
-    B1 = tuple(AffineElement(m, j, d) for m in A for j in range(d))
-    return GaloisData(d=d, e=e, A=A, G=G, B1=B1)
+    """The level-1 model {i -> m*i + j : m in A, j in Z/d} for x^d + c over
+    Q(zeta_e), whatever c is; its cosets are built on demand."""
+    perms.check_degree(d)
+    return GaloisData(d=d, e=e, A=galois_A(d, e))
 
 
 def b_n_permset(d: int, e: int, n: int) -> PermSet:
@@ -186,6 +147,19 @@ def coset_status(m: int, d: int) -> CosetStatus:
     if gcd(m - 1, d) == 1:
         return CosetStatus.ALL_HAVE_FIXED_POINTS
     return CosetStatus.HAS_FIXED_POINT_FREE
+
+
+def coset_indicatrix(m: int, d: int) -> IndicatrixPoly:
+    """Indicatrix of multiplier m's coset {i -> m*i + j : j in Z/d}.
+
+    With g = gcd(m-1, d), i -> m*i + j fixes a point iff g divides j, and then
+    (m-1)i = -j mod d has exactly g solutions i.  So the j divisible by g, a
+    1/g share, fix g points and the rest fix none: phi_m(x) = (1 - 1/g) + x^g/g.
+    """
+    if gcd(m, d) != 1:
+        raise ValueError(f"multiplier {m} not a unit mod {d}")
+    g = gcd(m - 1, d)
+    return IndicatrixPoly((1 - Fraction(1, g), *[0] * (g - 1), Fraction(1, g)))
 
 
 def fixed_point_free_witness(m: int, d: int) -> int | None:

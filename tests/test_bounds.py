@@ -1,16 +1,11 @@
-import math
 from fractions import Fraction
 
 import pytest
 
 from perprop.bounds import (
-    BoundInputs,
     error_term,
     fix_class_count,
     genus_bound,
-    min_norm_for_delta,
-    murty_deviation,
-    proportion_bound,
     ramified_bound,
     sqrt_lower,
     sqrt_upper,
@@ -47,42 +42,6 @@ def test_ramified_bound_examples():
             assert ramified_bound(n, d + 1) >= ramified_bound(n, d)
 
 
-def _inputs(q, **kw):
-    base = dict(q=q, m=1, n=1, d=2, B_order=3, fpp_value=F(1), A_order=1,
-                class_count_c=3, C_size=1)
-    base.update(kw)
-    return BoundInputs(**base)
-
-
-def test_murty_deviation_examples():
-    val = murty_deviation(_inputs(7), genus=0, R_count=2)
-    exact = 2 * math.sqrt(7) + 4
-    assert float(val) >= exact - 1e-12  # upper bound
-    assert float(val) - exact < 1e-6
-    val = murty_deviation(_inputs(10**4), genus=4, R_count=2)
-    assert float(val) >= 200 * (F(4, 3) + 1) + 4 - 1e-12
-    assert float(val) - float(200 * (F(4, 3) + 1) + 4) < 1e-6
-    # degenerate class size: only the ramified term remains
-    val = murty_deviation(_inputs(7, C_size=0), genus=5, R_count=3)
-    assert val == 3
-
-
-def test_bound_inputs_validated():
-    with pytest.raises(ValueError):
-        _inputs(7, fpp_value=F(3, 2))
-    with pytest.raises(ValueError):
-        _inputs(7, m=5, A_order=2)
-    with pytest.raises(ValueError):
-        _inputs(0)
-
-
-def test_proportion_bound_vacuous_regime():
-    # fpp 1 makes the bound at least A_order
-    for a in (1, 2, 3):
-        b = proportion_bound(_inputs(10**6, A_order=a, m=1))
-        assert b >= a
-
-
 def test_error_term_decreasing_and_vanishing():
     values = [error_term(q, 2, 3, 162, 162) for q in (10**3, 10**4, 10**5, 10**6, 10**8)]
     assert all(a > b for a, b in zip(values, values[1:]))
@@ -91,17 +50,6 @@ def test_error_term_decreasing_and_vanishing():
     v1 = error_term(10**6, 1, 3, 6, 6)
     v2 = error_term(4 * 10**6, 1, 3, 6, 6)
     assert v2 < v1 * F(6, 10)
-
-
-def test_min_norm_for_delta_examples():
-    q = min_norm_for_delta(1, 1, 2, 2)
-    assert error_term(q, 1, 2, 2, 2) < 1
-    assert q == 2 or error_term(q - 1, 1, 2, 2, 2) >= 1
-    q = min_norm_for_delta(F(1, 10), 2, 3, 162, class_count_c=162)
-    assert error_term(q, 2, 3, 162, 162) < F(1, 10)
-    assert error_term(q - 1, 2, 3, 162, 162) >= F(1, 10)
-    # shrinking delta grows the threshold
-    assert min_norm_for_delta(F(1, 100), 2, 3, 162) > min_norm_for_delta(F(1, 10), 2, 3, 162)
 
 
 def test_fix_class_count_small_groups():

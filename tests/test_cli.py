@@ -275,6 +275,34 @@ def test_config_file_is_reread_on_every_call(tmp_path, capsys):
     assert code == 2 and "bad config line" in err
 
 
+@pytest.mark.parametrize("argv, config, option", [
+    (("bound", "-d", "2", "-q", "7,abc"), None, "--q-grid"),
+    (("fpp", "-d", "2", "--epsilon", "abc"), None, "--epsilon"),
+    (("fpp", "-d", "2", "--epsilon", "1/0"), None, "--epsilon"),
+    (("fpp",), "d=abc\n", "-d"),
+], ids=["q-grid-token", "epsilon-text", "epsilon-zero-denominator", "config-d"])
+def test_unparsable_option_value_names_the_option(tmp_path, capsys, argv, config, option):
+    if config is not None:
+        cfg = tmp_path / "perprop.cfg"
+        cfg.write_text(config)
+        argv = (*argv, "--config", str(cfg))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage error: bad value for {option}: ")
+
+
+def test_bound_refuses_a_bad_c_without_measure(capsys):
+    code, out, err = run(capsys, "bound", "-d", "2", "-n", "1", "-q", "10", "-c=abc")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error:")
+
+
+def test_fpp_degree_past_the_cap_is_refused(capsys):
+    code, out, err = run(capsys, "fpp", "-d", "10001", "-n", "1")
+    assert (code, out) == (2, "")
+    assert err == "usage error: degree must be in [1, 10000], got 10001\n"
+
+
 def test_epsilon_iteration_cap_is_a_resource_cap(capsys, monkeypatch):
     from perprop import indicatrix
 

@@ -13,10 +13,17 @@ from perprop import cyclotomic as cyc
 from perprop import powermap
 from perprop.bounds import sqrt_lower, sqrt_upper
 from perprop.indicatrix import indicatrix_of, value_at
-from perprop.perms import fpp, is_transitive, mean_trace, permset, trace
+from perprop.perms import (
+    Permutation,
+    PermSet,
+    cyclic_group,
+    fpp,
+    is_transitive,
+    mean_trace,
+    trace,
+)
 from perprop.powermap import (
     _SLOW_BITS,
-    AffineElement,
     CosetStatus,
     CycSetting,
     Preperiodicity,
@@ -26,10 +33,10 @@ from perprop.powermap import (
     b_n_permset,
     build_B1,
     classify_regime,
+    coset_indicatrix,
     coset_status,
     galois_A,
     is_zero_preperiodic,
-    parse_setting,
     zero_orbit_report,
 )
 
@@ -68,27 +75,44 @@ def test_galois_A_e2_matches_base_rationals():
 
 def test_build_B1_structure():
     data = build_B1(3, 1)
-    assert len(data.B1) == len(data.A) * 3 == 6
-    assert {a.m for a in data.B1} == {1, 2}
-    assert is_transitive(data.G)
-    assert permset((a.as_permutation() for a in data.B1), kind="group").verify_group()
+    b1 = b_n_permset(3, 1, 1)
+    assert len(b1) == len(data.A) * 3 == 6
+    # the multiplier of i -> m*i + j is its image of 1 minus its image of 0
+    assert {(row[1] - row[0]) % 3 for row in b1.images.tolist()} == {1, 2}
+    assert is_transitive(PermSet(data.coset_permset(1).images, kind="group"))
+    assert b1.verify_group()
     # d=2: only translations
     data2 = build_B1(2, 1)
-    assert len(data2.B1) == 2 and data2.A == (1,)
+    assert len(b_n_permset(2, 1, 1)) == 2 and data2.A == (1,)
     # d=4 over Q: two cosets
     data4 = build_B1(4, 1)
-    assert len(data4.B1) == 8 and data4.A == (1, 3)
+    assert len(b_n_permset(4, 1, 1)) == 8 and data4.A == (1, 3)
 
 
 def test_coset_partition_matches_A():
     for d, e in [(3, 1), (4, 1), (6, 1), (5, 1), (9, 1), (4, 4), (3, 3)]:
         data = build_B1(d, e)
-        assert len(data.B1) == len(data.A) * d
+        assert len(b_n_permset(d, e, 1)) == len(data.A) * d
+        translations = cyclic_group(d)
         for m in data.A:
             cs = data.coset_permset(m)
             assert len(cs) == d
-            rep = AffineElement(m, 0, d).as_permutation()
-            assert {p.images for p in cs} == {(h * rep).images for h in data.G}
+            rep = Permutation(tuple(m * i % d for i in range(d)))
+            assert {p.images for p in cs} == {(h * rep).images for h in translations}
+
+
+def test_coset_indicatrix_matches_enumerated_cosets():
+    # the gcd rule against the trace counts of every explicit coset, for
+    # d in 2..40 and e in {1, ..., 9, 12}: 4355 cosets
+    checked = 0
+    for d in range(2, 41):
+        for e in (*range(1, 10), 12):
+            data = build_B1(d, e)
+            for m in data.A:
+                enumerated = indicatrix_of(data.coset_permset(m))
+                assert coset_indicatrix(m, d) == enumerated, (m, d, e)
+                checked += 1
+    assert checked == 4355
 
 
 def test_coset_status_examples():
@@ -122,9 +146,9 @@ def test_affine_permutation_trace_matches_fixed_points():
             if gcd(m, d) != 1:
                 continue
             for j in range(d):
-                elem = AffineElement(m, j, d)
+                elem = Permutation(tuple((m * i + j) % d for i in range(d)))
                 has_fixed_point = j % gcd(m - 1, d) == 0
-                assert (trace(elem.as_permutation()) > 0) == has_fixed_point
+                assert (trace(elem) > 0) == has_fixed_point
 
 
 def test_regime_table():
@@ -442,15 +466,11 @@ def test_undecided_when_budget_too_small():
 
 
 def test_setting_parse_and_format():
-    s = parse_setting("d=3 e=1 c=1")
+    s = CycSetting.make(3, 1, "1")
     assert (s.d, s.e, s.c) == (3, 1, (1,))
-    s = parse_setting("d=3 e=3 c=1+2z")
+    s = CycSetting.make(3, 3, "1+2z")
     assert s.c == (1, 2)
     assert str(s) == "d=3 e=3 c=1+2z"
-    with pytest.raises(ValueError):
-        parse_setting("d=3 c")
-    with pytest.raises(ValueError):
-        parse_setting("e=3")
 
 
 def test_setting_validation():
@@ -461,15 +481,16 @@ def test_setting_validation():
 
 
 def test_model_fpp_via_indicatrix_matches_group_fpp():
-    # FPP(B_1) computed from the coset indicatrices equals the direct group FPP
+    # FPP(B_1) computed from the coset indicatrices, enumerated or in closed
+    # form, equals the direct group FPP
     for d, e in [(3, 1), (4, 1), (3, 3), (5, 1)]:
         data = build_B1(d, e)
-        per_coset = [
-            1 - value_at(indicatrix_of(data.coset_permset(m)), 0) for m in data.A
-        ]
-        aggregate = sum(per_coset, Fraction(0)) / len(data.A)
-        b1 = permset((a.as_permutation() for a in data.B1), kind="group")
-        assert aggregate == fpp(b1)
+        b1 = b_n_permset(d, e, 1)
+        for phi_of in (lambda m: indicatrix_of(data.coset_permset(m)),
+                       lambda m: coset_indicatrix(m, d)):
+            per_coset = [1 - value_at(phi_of(m), 0) for m in data.A]
+            aggregate = sum(per_coset, Fraction(0)) / len(data.A)
+            assert aggregate == fpp(b1)
 
 
 def test_b_n_permset_order_and_burnside():
