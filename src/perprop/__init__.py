@@ -64,7 +64,6 @@ from .dynamics import (
     image_sizes_and_periodic,
     periodic_by_cycles,
     periodic_by_image_iteration,
-    periodic_count,
     power_map,
     reduce_map,
 )

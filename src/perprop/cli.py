@@ -84,14 +84,18 @@ def _converted(option: str, conv, text: str):
         raise UsageError(f"bad value for {option}: {text!r}") from None
 
 
-def _merged(args, key: str, conv, default=None, required: bool = False):
-    option = f"-{key}" if len(key) == 1 else f"--{key.replace('_', '-')}"
+def _merged(args, key: str, conv, default=None, required: bool = False,
+            metavar: str | None = None):
+    """The value of key from the command line, else from the config file,
+    converted by conv.  Messages name its flag, or metavar for a positional."""
+    option = metavar or (f"-{key}" if len(key) == 1 else f"--{key.replace('_', '-')}")
     value = getattr(args, key, None)
     if value is None:
         value = args.config_values.get(key)
     if value is None:
         if required:
-            raise UsageError(f"missing required option {option}")
+            kind = "argument" if metavar else "option"
+            raise UsageError(f"missing required {kind} {option}")
         return default
     return _converted(option, conv, value) if isinstance(value, str) else value
 
@@ -327,8 +331,8 @@ _BASE_GROUPS = {
 
 
 def cmd_wreathcheck(args) -> int:
-    base = _merged(args, "base", str, required=True)
-    n = _merged(args, "n", int, required=True)
+    base = _merged(args, "base", str, required=True, metavar="BASE")
+    n = _merged(args, "n", int, required=True, metavar="N")
     if base not in _BASE_GROUPS:
         raise UsageError(f"base must be one of {sorted(_BASE_GROUPS)}")
     if n < 1:
@@ -426,47 +430,47 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print exact rationals instead of decimals")
 
     p_fpp = sub.add_parser("fpp", help="indicatrix and FPP per multiplier coset")
-    p_fpp.add_argument("-d", type=int, dest="d")
-    p_fpp.add_argument("-e", type=int, dest="e")
-    p_fpp.add_argument("-n", type=int, dest="n")
+    p_fpp.add_argument("-d", dest="d")
+    p_fpp.add_argument("-e", dest="e")
+    p_fpp.add_argument("-n", dest="n")
     p_fpp.add_argument("--epsilon", dest="epsilon")
     add_common(p_fpp)
     p_fpp.set_defaults(func=cmd_fpp)
 
     p_reg = sub.add_parser("regime", help="trichotomy verdict for x^d + c")
-    p_reg.add_argument("-d", type=int, dest="d")
-    p_reg.add_argument("-e", type=int, dest="e")
+    p_reg.add_argument("-d", dest="d")
+    p_reg.add_argument("-e", dest="e")
     p_reg.add_argument("-c", dest="c")
-    p_reg.add_argument("--max-iter", type=int, dest="max_iter")
+    p_reg.add_argument("--max-iter", dest="max_iter")
     add_common(p_reg)
     p_reg.set_defaults(func=cmd_regime)
 
     p_sweep = sub.add_parser("sweep", help="periodic counts over a prime stream")
-    p_sweep.add_argument("-d", type=int, dest="d")
-    p_sweep.add_argument("-e", type=int, dest="e")
+    p_sweep.add_argument("-d", dest="d")
+    p_sweep.add_argument("-e", dest="e")
     p_sweep.add_argument("-c", dest="c")
-    p_sweep.add_argument("-N", "--norm-bound", type=int, dest="norm_bound")
+    p_sweep.add_argument("-N", "--norm-bound", dest="norm_bound")
     p_sweep.add_argument("-o", "--output", dest="output")
-    p_sweep.add_argument("--threads", type=int, dest="threads")
+    p_sweep.add_argument("--threads", dest="threads")
     p_sweep.add_argument("--json", action="store_const", const=True, default=None)
     add_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_wc = sub.add_parser("wreathcheck", help="brute force vs recursion")
-    p_wc.add_argument("base", nargs="?")
-    p_wc.add_argument("n", nargs="?", type=int)
+    p_wc.add_argument("base", nargs="?", metavar="BASE")
+    p_wc.add_argument("n", nargs="?", metavar="N")
     add_common(p_wc)
     p_wc.set_defaults(func=cmd_wreathcheck)
 
     p_bound = sub.add_parser("bound", help="proportion bound on a norm grid")
-    p_bound.add_argument("-d", type=int, dest="d")
-    p_bound.add_argument("-e", type=int, dest="e")
-    p_bound.add_argument("-n", type=int, dest="n")
+    p_bound.add_argument("-d", dest="d")
+    p_bound.add_argument("-e", dest="e")
+    p_bound.add_argument("-n", dest="n")
     p_bound.add_argument("-q", "--q-grid", dest="q_grid",
                          help="comma-separated norms")
     p_bound.add_argument("-c", dest="c")
     p_bound.add_argument("--measure", action="store_const", const=True, default=None)
-    p_bound.add_argument("--classes", dest="classes", choices=["safe", "exact"])
+    p_bound.add_argument("--classes", dest="classes")
     add_common(p_bound)
     p_bound.set_defaults(func=cmd_bound)
 

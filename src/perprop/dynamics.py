@@ -19,21 +19,23 @@ since that image is closed under the map and holds every periodic point.
 Every map is evaluated by one array kernel over blocks of BLOCK indices: the
 indices split into their base-p digits, an (f, block) array of coefficients
 over F_p, and products are convolutions reduced by the monic modulus.  x^d + c
-(over any F_{p^f}) is a square-and-multiply power; a general rational map
-(prime fields only, good reduction checked by a Euclidean gcd plus degree
-comparison) is an array Horner evaluation of numerator and denominator with a
-Fermat-power inverse.  Forward images are iterated with a boolean mask over
-the points, so no step sorts.
+(over any F_{p^f}) is a square-and-multiply power by cyclotomic.power; a general
+rational map (prime fields only, good reduction checked by a Euclidean gcd
+plus degree comparison) is an array Horner evaluation of numerator and
+denominator with a Fermat-power inverse.  Forward images are iterated with a
+boolean mask over the points, so no step sorts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from typing import Iterator, Optional
 
 import numpy as np
 
+from .cyclotomic import power
 from .perms import ResourceCapError
 from .powermap import CycSetting
 from .residue_fields import Element, PrimeOfK, ResidueField, _poly_gcd, reduce_cyclotomic
@@ -151,11 +153,13 @@ def build_graph(m: ReducedMap) -> FunctionalGraph:
 def _finite_successors(m: ReducedMap, idx: np.ndarray) -> np.ndarray:
     F = m.field
     x = _digits(F, idx)
+    mul = partial(_mul, F)
+    one = _column(F.one)  # for a zero exponent; broadcasts against a block
     if m.kind == "power_plus_c":
-        return _indices(F, (_power(F, x, m.degree) + _column(m.c)) % F.p)
+        return _indices(F, (power(x, m.degree, mul, one) + _column(m.c)) % F.p)
     top = _eval_poly(F, m.num_coeffs, x)
     bottom = _eval_poly(F, m.den_coeffs, x)
-    out = _indices(F, _mul(F, top, _power(F, bottom, F.q - 2)))
+    out = _indices(F, mul(top, power(bottom, F.q - 2, mul, one)))  # q - 2 = 0 over F_2
     out[~bottom.any(axis=0)] = F.q  # numerator nonzero there by good reduction
     return out
 
@@ -210,21 +214,6 @@ def _mul(F: ResidueField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for k in range(2 * f - 2, f - 1, -1):
         conv[k - f : k] -= (conv[k] % p) * low
     return conv[:f] % p
-
-
-def _power(F: ResidueField, x: np.ndarray, k: int) -> np.ndarray:
-    """x^k elementwise by square-and-multiply."""
-    result = None
-    while k:
-        if k & 1:
-            result = x if result is None else _mul(F, result, x)
-        k >>= 1
-        if k:
-            x = _mul(F, x, x)
-    if result is None:  # k == 0
-        result = np.zeros_like(x)
-        result[0] = 1
-    return result
 
 
 def _eval_poly(F: ResidueField, coeffs: tuple[Element, ...], x: np.ndarray) -> np.ndarray:
@@ -304,23 +293,15 @@ def image_sizes_and_periodic(
     return tuple(sizes), _power_image_count(position[g.successor[img]])
 
 
-def _power_image_count(successor: np.ndarray, n: Optional[int] = None) -> int:
-    """|image of the n-th compositional power| of a successor array, by binary
-    powering in O(log n) gathers.  n defaults to 2^ceil(log2 size): after
-    that many steps every point has entered its cycle, so the image is the
-    periodic set."""
-    if n is None:
-        n = 1 << (successor.size - 1).bit_length()
+def _power_image_count(successor: np.ndarray) -> int:
+    """|periodic set| of a successor array: the image of its 2^k-th power,
+    k = ceil(log2 size), by k squarings (pointer doubling).  After that many
+    steps every point has entered its cycle, so the image is the periodic set."""
     t_power = successor
-    result = None
-    while n:
-        if n & 1:
-            result = t_power if result is None else t_power[result]
-        n >>= 1
-        if n:
-            t_power = t_power[t_power]
+    for _ in range((successor.size - 1).bit_length()):
+        t_power = t_power[t_power]
     mask = np.zeros(successor.size, dtype=bool)
-    mask[result] = True
+    mask[t_power] = True
     return int(np.count_nonzero(mask))
 
 
@@ -331,16 +312,3 @@ def image_size_at(g: FunctionalGraph, n: int) -> int:
     for img in islice(_forward_images(g), n + 1):
         size = img.size
     return size
-
-
-def iterated_map_image_count(g: FunctionalGraph, n: int) -> int:
-    """|image of the n-th compositional power|; same value as image_size_at
-    but O(log n) array passes, for large n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _power_image_count(g.successor, n)
-
-
-def periodic_count(g: FunctionalGraph) -> int:
-    """|periodic set| by successor pointer doubling over all points."""
-    return _power_image_count(g.successor)

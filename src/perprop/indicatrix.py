@@ -27,6 +27,7 @@ import numpy as np
 from .perms import PermSet, ResourceCapError
 
 DENOMINATOR_BIT_CAP = 128
+ENCLOSURE_PRECISION = 128
 WORKING_PRECISION = 256
 MAX_PRECISION = 4096
 MAX_ITERATION_STEPS = 200_000
@@ -184,22 +185,20 @@ def _iterates(f: IndicatrixPoly, wp: int):
         lo, hi = step(lo, hi)
 
 
-def iterate_at_zero(f: IndicatrixPoly, n: int, precision: int = 128) -> IntervalRational:
-    """Enclosure of the n-th iterate of f at 0, of width <= 2^(-precision+2):
-    the n-th enclosure of _iterates, doubling the working precision until it
-    is that narrow."""
+def iterate_at_zero(f: IndicatrixPoly, n: int) -> IntervalRational:
+    """Enclosure of the n-th iterate of f at 0, of width at most
+    2^(2 - ENCLOSURE_PRECISION) (2^-126): the n-th enclosure of _iterates,
+    doubling the working precision until it is that narrow."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if precision < 32:
-        raise ValueError("precision must be >= 32 bits")
-    wp = max(WORKING_PRECISION, precision + 64 + n.bit_length())
+    wp = max(WORKING_PRECISION, ENCLOSURE_PRECISION + 64 + n.bit_length())
     while wp <= MAX_PRECISION:
         lo, hi, den = next(islice(_iterates(f, wp), n - 1, None))
-        if (hi - lo) << (precision - 2) <= den:
+        if (hi - lo) << (ENCLOSURE_PRECISION - 2) <= den:
             return IntervalRational(Fraction(lo, den), Fraction(hi, den))
         wp *= 2
     raise PrecisionExhaustedError(
-        f"could not reach width 2^-{precision - 2} within {MAX_PRECISION} bits"
+        f"could not reach width 2^-{ENCLOSURE_PRECISION - 2} within {MAX_PRECISION} bits"
     )
 
 

@@ -25,7 +25,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from . import cyclotomic as cyc
-from . import perms
+from . import perms, wreath
 from .indicatrix import IndicatrixPoly
 from .perms import PermSet, ResourceCapError
 
@@ -118,21 +118,13 @@ def b_n_permset(d: int, e: int, n: int) -> PermSet:
     the union over multipliers of the n-fold wreath coset of each multiplier's
     level-1 coset.  Brute force, for exact conjugacy-class counts, of at most
     perms.ENUMERATION_CAP elements."""
-    from .wreath import coset_wreath, wreath_order
-
     data = build_B1(d, e)
-    expected = len(data.A) * wreath_order(d, d, n)
+    expected = len(data.A) * wreath.wreath_order(d, d, n)
     if expected > perms.ENUMERATION_CAP:
         raise ResourceCapError(
             f"B_n enumeration needs {expected} elements, cap is {perms.ENUMERATION_CAP}"
         )
-    cosets = []
-    for m in data.A:
-        level = data.coset_permset(m)
-        current = level
-        for _ in range(n - 1):
-            current = coset_wreath(current, level)
-        cosets.append(current.images)
+    cosets = [wreath.iterated_wreath(data.coset_permset(m), n).images for m in data.A]
     return PermSet(np.concatenate(cosets), kind="group")
 
 

@@ -108,15 +108,8 @@ class ResidueField:
             idx = idx * self.p + coeff
         return idx
 
-    def elements(self):
-        for idx in range(self.q):
-            yield self.element_from_index(idx)
-
     def add(self, a: Element, b: Element) -> Element:
         return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def sub(self, a: Element, b: Element) -> Element:
-        return tuple((x - y) % self.p for x, y in zip(a, b))
 
     def neg(self, a: Element) -> Element:
         return tuple(-x % self.p for x in a)
@@ -136,11 +129,6 @@ class ResidueField:
         if self.f == 1:
             return (pow(a[0], -1, self.p),)
         return self.pow(a, self.q - 2)
-
-
-def _frobenius_power(base: list[int], modulus: tuple[int, ...], p: int) -> list[int]:
-    # base^p mod modulus; p >= 2, so the result is a reduced product
-    return power(base, p, lambda x, y: [c % p for c in poly_mulmod(x, y, modulus)], [1])
 
 
 def _poly_gcd(a, b, p: int) -> list[int]:
@@ -167,9 +155,10 @@ def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
     # whose factor degrees are incomparable, like {3,2,1} at f=6)
     f = len(modulus) - 1
     checkpoints = {f // r for r in range(2, f + 1) if f % r == 0 and is_prime(r)}
-    x = t = [0, 1] + [0] * (f - 2)  # f >= 2
+    ring = ResidueField(p, f, modulus)  # a field only if modulus is irreducible
+    x = t = (0, 1) + (0,) * (f - 2)  # f >= 2
     for step in range(1, f + 1):
-        t = _frobenius_power(t, modulus, p)
+        t = ring.pow(t, p)
         if step in checkpoints:
             diff = [u - v for u, v in zip(t, x)]
             if len(_poly_gcd(modulus, diff, p)) != 1:

@@ -12,14 +12,14 @@ from math import gcd
 from statistics import median
 
 from perprop.bounds import error_term
+from perprop.cli import compute_row
 from perprop.dynamics import (
     build_graph,
     general_map,
     image_size_at,
-    iterated_map_image_count,
+    image_sizes_and_periodic,
     periodic_by_cycles,
     periodic_by_image_iteration,
-    periodic_count,
     reduce_map,
 )
 from perprop.indicatrix import (
@@ -150,13 +150,13 @@ def test_criterion_04_cubic_bijectivity_law():
     for p in primes_up_to(9_999):
         if p <= 3:  # wild
             continue
-        graph = build_graph(reduce_map(setting, primes_above(p, 1)[0]))
-        bijective = image_size_at(graph, 1) == graph.size
-        periodic = periodic_count(graph)
+        row = compute_row(setting, primes_above(p, 1)[0])
         if p % 3 != 1:
-            assert bijective and periodic == graph.size, p
+            assert row.bijective and row.periodic == row.total, p
+            assert row.proportion == 1, p
         else:
-            assert not bijective and periodic < graph.size, p
+            assert not row.bijective and row.periodic < row.total, p
+            assert row.proportion < 1, p
         checked += 1
     elapsed = time.monotonic() - started
     assert elapsed < 10.0
@@ -224,8 +224,8 @@ def test_criterion_07_decay_evidence_regime_b():
     low_bucket, high_bucket = [], []
     for p in primes_up_to(100_000):
         graph = build_graph(reduce_map(setting, primes_above(p, 1)[0]))
-        periodic = periodic_count(graph)
-        deep_image = iterated_map_image_count(graph, 20)
+        sizes, periodic = image_sizes_and_periodic(graph, 21)
+        deep_image = sizes[-1]  # |f^20(X)|, or the stable size if reached sooner
         assert periodic <= deep_image, p
         proportion = F(periodic, graph.size)
         if 100 <= p <= 1000:
@@ -256,8 +256,9 @@ def test_criterion_08_limsup_evidence_regime_c():
     # the smallest witness of each decade
     for bounds, hits in full_by_decade.items():
         p, size = min(hits)
-        graph = build_graph(reduce_map(setting, primes_above(p, 1)[0]))
-        assert periodic_count(graph) == size == graph.size
+        row = compute_row(setting, primes_above(p, 1)[0])
+        assert row.bijective and row.periodic == size == row.total
+        assert row.proportion == 1
     witnesses = {bounds: min(hits)[0] for bounds, hits in full_by_decade.items()}
     print(f"ACCEPTANCE 8 PASS: x^3+1 fully periodic primes appear in every "
           f"decade of norms up to 10^5, e.g. {sorted(witnesses.values())}")
@@ -317,8 +318,7 @@ def test_criterion_10_cyclotomic_sweep_correctness():
             assert f == 2 and len(primes) == 1
         proportions = []
         for P in primes:
-            graph = build_graph(reduce_map(setting, P))
-            proportions.append(F(periodic_count(graph), graph.size))
+            proportions.append(compute_row(setting, P).proportion)
         if len(proportions) == 2:
             assert proportions[0] == proportions[1], p
             pairs_checked += 1

@@ -193,6 +193,17 @@ def test_wreathcheck_usage(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, missing", [
+    (("wreathcheck", "C2"), "N"),
+    (("wreathcheck",), "BASE"),
+])
+def test_wreathcheck_names_a_missing_positional(capsys, argv, missing):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: missing required argument {missing}\n"
+    assert "-n" not in err and "--base" not in err
+
+
 def test_bound_table(capsys):
     code, out, _ = run(capsys, "bound", "-d", "3", "-e", "1", "-n", "1",
                        "-q", "1000003")
@@ -291,6 +302,23 @@ def test_unparsable_option_value_names_the_option(tmp_path, capsys, argv, config
     assert err.startswith(f"usage error: bad value for {option}: ")
 
 
+@pytest.mark.parametrize("argv, typed, config, message", [
+    (("fpp",), ("-d", "abc"), "d=abc", "bad value for -d: 'abc'"),
+    (("sweep", "-d", "2", "-c=1"), ("-N", "1e4"), "norm_bound=1e4",
+     "bad value for --norm-bound: '1e4'"),
+    (("wreathcheck", "C2"), ("abc",), "n=abc", "bad value for N: 'abc'"),
+    (("bound", "-d", "2", "-q", "7"), ("--classes", "foo"), "classes=foo",
+     "--classes must be 'safe' or 'exact'"),
+], ids=["fpp-d", "sweep-N", "wreathcheck-N", "bound-classes"])
+def test_typed_and_config_values_are_checked_alike(tmp_path, capsys, argv, typed,
+                                                   config, message):
+    cfg = tmp_path / "perprop.cfg"
+    cfg.write_text(config + "\n")
+    for source in (typed, ("--config", str(cfg))):
+        code, out, err = run(capsys, *argv, *source)
+        assert (code, out, err) == (2, "", f"usage error: {message}\n"), source
+
+
 def test_bound_refuses_a_bad_c_without_measure(capsys):
     code, out, err = run(capsys, "bound", "-d", "2", "-n", "1", "-q", "10", "-c=abc")
     assert (code, out) == (2, "")
@@ -387,5 +415,5 @@ def test_bound_vs_measured_script_runs():
     )
     assert done.returncode == 0, done.stderr
     assert "VIOLATION" not in done.stdout
-    rows = done.stdout.splitlines()[2:]
-    assert len(rows) == 2 and all(row.endswith(",ok") for row in rows)
+    rows = [line for line in done.stdout.splitlines() if " measured=" in line]
+    assert len(rows) == 2 and all(row.endswith(" ok") for row in rows)

@@ -13,7 +13,6 @@ from perprop.dynamics import (
     image_sizes_and_periodic,
     periodic_by_cycles,
     periodic_by_image_iteration,
-    periodic_count,
     power_map,
     reduce_map,
 )
@@ -133,7 +132,7 @@ def test_periodic_algorithms_on_reference_graphs():
     img_set, sizes = periodic_by_image_iteration(g)
     assert cyc_set == img_set == frozenset({2, 7})
     assert sizes == (8, 4, 3, 2, 2)
-    assert periodic_count(g) == 2
+    assert image_sizes_and_periodic(g, 1)[1] == 2
     assert not is_bijective(g)
 
     P5 = primes_above(5, 1)[0]
@@ -146,7 +145,7 @@ def test_periodic_algorithms_on_reference_graphs():
     g = build_graph(reduce_map(CycSetting.make(2, 1, 1), P5))
     assert periodic_by_cycles(g) == frozenset({0, 1, 2, 5})
     assert periodic_by_image_iteration(g)[1] == (6, 4, 4)
-    assert periodic_count(g) == 4
+    assert image_sizes_and_periodic(g, 1)[1] == 4
 
 
 def test_constant_successor_graph():
@@ -171,7 +170,7 @@ def test_two_algorithms_agree_small_primes():
                 a = periodic_by_cycles(g)
                 b, _ = periodic_by_image_iteration(g)
                 assert a == b
-                assert len(a) == periodic_count(g)
+                assert len(a) == image_sizes_and_periodic(g, 1)[1]
 
 
 def test_algorithms_agree_with_brute_oracle():
@@ -185,8 +184,7 @@ def test_algorithms_agree_with_brute_oracle():
         expected = brute_periodic(succ)
         assert periodic_by_cycles(g) == expected
         assert periodic_by_image_iteration(g)[0] == expected
-        assert periodic_count(g) == len(expected)
-        for max_entries in (2, 8):
+        for max_entries in (1, 2, 8):
             sizes, periodic = image_sizes_and_periodic(g, max_entries)
             assert periodic == len(expected)
             assert sizes == periodic_by_image_iteration(g)[1][:max_entries]
@@ -229,7 +227,7 @@ def test_bijective_iff_full_first_image_iff_all_periodic():
         g = build_graph(reduce_map(CycSetting.make(3, 1, 1), primes_above(p, 1)[0]))
         full_first = image_size_at(g, 1) == g.size
         assert is_bijective(g) == full_first
-        assert (periodic_count(g) == g.size) == full_first
+        assert (image_sizes_and_periodic(g, 1)[1] == g.size) == full_first
         sizes, periodic = image_sizes_and_periodic(g, 8)
         assert (sizes[1] == sizes[0]) == full_first
         assert (periodic == g.size) == full_first
@@ -240,7 +238,7 @@ def test_image_sizes_weakly_decreasing_and_bound_periodic():
         g = build_graph(reduce_map(CycSetting.make(2, 1, 1), primes_above(p, 1)[0]))
         _, sizes = periodic_by_image_iteration(g)
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
-        per = periodic_count(g)
+        per = image_sizes_and_periodic(g, 1)[1]
         assert all(per <= s for s in sizes)
         assert sizes[-1] == per
 
@@ -256,13 +254,14 @@ def test_image_size_sequence_prefix():
     assert image_size_at(g, 50) == 2  # stabilizes early
 
 
-def test_iterated_map_image_count_matches_stepwise():
-    from perprop.dynamics import iterated_map_image_count
-
+def test_image_size_at_matches_n_fold_composition():
     for p in (7, 11, 29):
         g = build_graph(reduce_map(CycSetting.make(2, 1, 1), primes_above(p, 1)[0]))
         for n in (1, 2, 3, 5, 20):
-            assert iterated_map_image_count(g, n) == image_size_at(g, n)
+            composed = g.successor
+            for _ in range(n - 1):
+                composed = g.successor[composed]
+            assert image_size_at(g, n) == len(set(composed.tolist()))
 
 
 def test_extension_field_graph():
@@ -422,10 +421,9 @@ def test_row_pass_matches_former_passes():
         for e, P in primes:
             setting = CycSetting.make(d, e, 1)
             g = build_graph(reduce_map(setting, P))
-            for max_entries in (2, 8):
+            for max_entries in (1, 2, 8):
                 sizes, periodic, bijective = _former_row_passes(g, max_entries)
                 assert image_sizes_and_periodic(g, max_entries) == (sizes, periodic), (d, P)
-                assert periodic_count(g) == periodic
             doubled += sizes[-1] != sizes[-2]
             row = compute_row(setting, P)
             assert (row.image_sizes, row.periodic, row.bijective) == (

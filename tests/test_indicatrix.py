@@ -84,13 +84,13 @@ def test_iterate_interval_contains_exact_value():
         x = F(0)
         for n in range(1, 7):
             x = value_at(phi, x)
-            iv = iterate_at_zero(phi, n, precision=64)
+            iv = iterate_at_zero(phi, n)
             assert x in iv
             assert iv.width <= F(1, 2**62)
 
 
 def test_iterate_switches_to_intervals_for_deep_iterates():
-    iv = iterate_at_zero(PHI_C2, 40, precision=128)
+    iv = iterate_at_zero(PHI_C2, 40)
     assert iv.lo < iv.hi  # exact phase must have ended
     assert iv.width <= F(1, 2**126)
     assert 0 < iv.lo and iv.hi < 1
