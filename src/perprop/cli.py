@@ -9,21 +9,23 @@ Subcommands:
 
 Exit codes: 0 success, 2 usage, 3 hypothesis failure, 4 I/O failure,
 5 resource cap.  Proportions print with 6 decimal places (round-half-even);
---exact switches to p/q.  A key=value config file can preload defaults;
-command-line flags override the config, which overrides built-ins.
+--exact (fpp and sweep) switches to p/q.  Each option is declared once, in
+COMMANDS; main takes its value from the command line, else the --config
+key=value file (key norm_bound for --norm-bound, n for N), else its default.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from decimal import MAX_PREC, Decimal, localcontext
 from fractions import Fraction
+from json import dumps
 from statistics import median
 
 from . import bounds as bnd
@@ -84,24 +86,36 @@ def _converted(option: str, conv, text: str):
         raise UsageError(f"bad value for {option}: {text!r}") from None
 
 
-def _merged(args, key: str, conv, default=None, required: bool = False,
-            metavar: str | None = None):
-    """The value of key from the command line, else from the config file,
-    converted by conv.  Messages name its flag, or metavar for a positional."""
-    option = metavar or (f"-{key}" if len(key) == 1 else f"--{key.replace('_', '-')}")
-    value = getattr(args, key, None)
-    if value is None:
-        value = args.config_values.get(key)
-    if value is None:
-        if required:
-            kind = "argument" if metavar else "option"
-            raise UsageError(f"missing required {kind} {option}")
-        return default
-    return _converted(option, conv, value) if isinstance(value, str) else value
-
-
 def _bool_conv(text: str) -> bool:
     return text.strip().lower() in ("1", "true", "yes", "on")
+
+
+REQUIRED = object()  # the default of an option that must be given
+
+
+@dataclass(frozen=True)
+class Option:
+    """One settable value of a subcommand.  Its last flag names it in
+    messages, and a name without a dash is a positional; an option converted
+    by _bool_conv is a switch."""
+
+    flags: tuple[str, ...]
+    conv: Callable[[str], object]
+    default: object = None
+    at_least: int | None = None
+    help: str | None = None
+
+    @property
+    def key(self) -> str:  # config key and keyword argument
+        return self.flags[-1].lstrip("-").replace("-", "_").lower()
+
+
+DEGREE = Option(("-d",), int, REQUIRED, 2, "degree d of x^d + c")
+CONDUCTOR = Option(("-e",), int, 1, 1, "conductor e of the base field Q(zeta_e)")
+LEVEL = Option(("-n",), int, 1, 1, "level n of the iterated extension")
+CONSTANT = Option(("-c",), str, REQUIRED, help="constant c, a polynomial in z = zeta_e")
+EXACT = Option(("--exact",), _bool_conv, False,
+               help="print exact rationals instead of decimals")
 
 
 # -- fpp ----------------------------------------------------------------------
@@ -123,14 +137,7 @@ def _show_enclosure(lo: Fraction, hi: Fraction, exact_form: bool) -> str:
     return f"[{fmt6(lo)}, {fmt6(hi)}]"
 
 
-def cmd_fpp(args) -> int:
-    d = _merged(args, "d", int, required=True)
-    e = _merged(args, "e", int, default=1)
-    n = _merged(args, "n", int, default=1)
-    epsilon = _merged(args, "epsilon", Fraction)
-    exact_form = bool(_merged(args, "exact", _bool_conv, default=False))
-    if d < 2 or e < 1 or n < 1:
-        raise UsageError("need d >= 2, e >= 1, n >= 1")
+def cmd_fpp(d: int, e: int, n: int, epsilon: Fraction | None, exact: bool) -> int:
     if epsilon is not None and not 0 < epsilon < 1:
         raise UsageError("epsilon must be in (0, 1)")
     agg_lo = agg_hi = Fraction(0)
@@ -141,25 +148,19 @@ def cmd_fpp(args) -> int:
         count += 1
         print(f"coset m={m}: phi = {ind.to_text(phi)}")
         print(f"coset m={m}: status = {pm.coset_status(m, d).value}")
-        print(f"coset m={m}: fpp_n = {_show_enclosure(lo, hi, exact_form)}")
+        print(f"coset m={m}: fpp_n = {_show_enclosure(lo, hi, exact)}")
         if epsilon is not None:
             idx = ind.epsilon_index(phi, epsilon)
             shown = "diverges" if idx is ind.DIVERGES else str(idx)
             print(f"coset m={m}: N_eps({epsilon}) = {shown}")
-    print(
-        f"aggregate FPP(B_n), n={n}: "
-        f"{_show_enclosure(agg_lo / count, agg_hi / count, exact_form)}"
-    )
+    print(f"aggregate FPP(B_n), n={n}: "
+          f"{_show_enclosure(agg_lo / count, agg_hi / count, exact)}")
     return EXIT_OK
 
 
 # -- regime -------------------------------------------------------------------
 
-def cmd_regime(args) -> int:
-    d = _merged(args, "d", int, required=True)
-    e = _merged(args, "e", int, default=1)
-    c = _merged(args, "c", str, required=True)
-    max_iter = _merged(args, "max_iter", int, default=500)
+def cmd_regime(d: int, e: int, c: str, max_iter: int) -> int:
     setting = pm.CycSetting.make(d, e, c)
     report = pm.zero_orbit_report(setting, max_iter)
     print(f"setting: {setting}")
@@ -258,29 +259,14 @@ def _summary_lines(rows: list[SweepRow], norm_bound: int, exact_form: bool) -> l
     for wild in (False, True):
         bucket = [r.proportion for r in rows if r.wild is wild and lo < r.norm <= norm_bound]
         tag = "wild" if wild else "tame"
-        if bucket:
-            lines.append(
-                f"# top_decade ({lo}, {norm_bound}] {tag}: count={len(bucket)} "
-                f"max={show(max(bucket))} median={show(median(bucket))}"
-            )
-        else:
-            lines.append(
-                f"# top_decade ({lo}, {norm_bound}] {tag}: count=0 max=n/a median=n/a"
-            )
+        stats = (f"max={show(max(bucket))} median={show(median(bucket))}" if bucket
+                 else "max=n/a median=n/a")
+        lines.append(f"# top_decade ({lo}, {norm_bound}] {tag}: count={len(bucket)} {stats}")
     return lines
 
 
-def cmd_sweep(args) -> int:
-    d = _merged(args, "d", int, required=True)
-    e = _merged(args, "e", int, default=1)
-    c = _merged(args, "c", str, required=True)
-    norm_bound = _merged(args, "norm_bound", int, required=True)
-    output = _merged(args, "output", str, default="-")
-    threads = _merged(args, "threads", int, default=1)
-    as_json = bool(_merged(args, "json", _bool_conv, default=False))
-    exact_form = bool(_merged(args, "exact", _bool_conv, default=False))
-    if norm_bound < 2 or threads < 1:
-        raise UsageError("need norm_bound >= 2 and threads >= 1")
+def cmd_sweep(d: int, e: int, c: str, norm_bound: int, output: str, threads: int,
+              json: bool, exact: bool) -> int:
     setting = pm.CycSetting.make(d, e, c)
     primes = rf.prime_stream(e, norm_bound)
     if threads == 1:
@@ -288,30 +274,17 @@ def cmd_sweep(args) -> int:
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(lambda P: compute_row(setting, P), primes))
-    if as_json:
+    if json:
         payload = {
             "setting": str(setting),
             "norm_bound": norm_bound,
-            "rows": [
-                {
-                    "p": r.p,
-                    "f": r.f,
-                    "norm": r.norm,
-                    "wild": r.wild,
-                    "periodic": r.periodic,
-                    "total": r.total,
-                    "proportion": _proportion_text(r, exact_form),
-                    "bijective": r.bijective,
-                    "image_sizes": list(r.image_sizes),
-                }
-                for r in rows
-            ],
+            "rows": [{**asdict(r), "proportion": _proportion_text(r, exact)} for r in rows],
         }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = dumps(payload, indent=2) + "\n"
     else:
         lines = [CSV_HEADER]
-        lines.extend(_row_csv(r, exact_form) for r in rows)
-        lines.extend(_summary_lines(rows, norm_bound, exact_form))
+        lines.extend(_row_csv(r, exact) for r in rows)
+        lines.extend(_summary_lines(rows, norm_bound, exact))
         text = "\n".join(lines) + "\n"
     if output in ("-", ""):
         sys.stdout.write(text)
@@ -330,13 +303,9 @@ _BASE_GROUPS = {
 }
 
 
-def cmd_wreathcheck(args) -> int:
-    base = _merged(args, "base", str, required=True, metavar="BASE")
-    n = _merged(args, "n", int, required=True, metavar="N")
+def cmd_wreathcheck(base: str, n: int) -> int:
     if base not in _BASE_GROUPS:
         raise UsageError(f"base must be one of {sorted(_BASE_GROUPS)}")
-    if n < 1:
-        raise UsageError("n must be >= 1")
     g = _BASE_GROUPS[base]()
     size = wreath_order(len(g), g.degree, n)
     print(f"enumerating [{base}]^{n}: {size} permutations of degree {g.degree ** n}")
@@ -357,21 +326,15 @@ def cmd_wreathcheck(args) -> int:
 
 # -- bound --------------------------------------------------------------------
 
-def cmd_bound(args) -> int:
-    d = _merged(args, "d", int, required=True)
-    e = _merged(args, "e", int, default=1)
-    n = _merged(args, "n", int, default=1)
-    grid_text = _merged(args, "q_grid", str, required=True)
-    measure = bool(_merged(args, "measure", _bool_conv, default=False))
-    classes_mode = _merged(args, "classes", str, default="safe")
-    c_text = _merged(args, "c", str, default="1")
-    if classes_mode not in ("safe", "exact"):
+def cmd_bound(d: int, e: int, n: int, q_grid: str, c: str, measure: bool,
+              classes: str) -> int:
+    if classes not in ("safe", "exact"):
         raise UsageError("--classes must be 'safe' or 'exact'")
     grid = [_converted("--q-grid", int, tok)
-            for tok in grid_text.replace(",", " ").split()]
+            for tok in q_grid.replace(",", " ").split()]
     if not grid or min(grid) < 2:
         raise UsageError("q grid entries must be >= 2")
-    setting = pm.CycSetting.make(d, e, c_text)  # refuses a bad -c even unmeasured
+    setting = pm.CycSetting.make(d, e, c)  # refuses a bad -c even unmeasured
     # a measured row is bounded at the norm of the prime it measures, q^f for
     # an inert q; every entry is resolved before anything prints
     primes = {}
@@ -383,9 +346,8 @@ def cmd_bound(args) -> int:
     A = pm.galois_A(d, e)
     A_order = len(A)
     B_order = A_order * wreath_order(d, d, n)
-    if classes_mode == "exact":
-        group = pm.b_n_permset(d, e, n)
-        class_count = bnd.fix_class_count(group)
+    if classes == "exact":
+        class_count = bnd.fix_class_count(pm.b_n_permset(d, e, n))
     else:
         class_count = B_order
     fpp_up = sum(hi for *_, hi in coset_fpp_enclosures(d, e, n)) / A_order
@@ -414,7 +376,40 @@ def cmd_bound(args) -> int:
     return EXIT_OK if violations == 0 else 1
 
 
-# -- parser -------------------------------------------------------------------
+# -- option table and parser ---------------------------------------------------
+
+# name -> (command, help, options in the order they are resolved and checked)
+COMMANDS: dict[str, tuple[Callable[..., int], str, tuple[Option, ...]]] = {
+    "fpp": (cmd_fpp, "indicatrix and FPP per multiplier coset", (
+        DEGREE, CONDUCTOR, LEVEL,
+        Option(("--epsilon",), Fraction, help="also print each coset's N_eps"),
+        EXACT,
+    )),
+    "regime": (cmd_regime, "trichotomy verdict for x^d + c", (
+        DEGREE, CONDUCTOR, CONSTANT,
+        Option(("--max-iter",), int, 500, 1, "iterates of 0 to try for a certificate"),
+    )),
+    "sweep": (cmd_sweep, "periodic counts over a prime stream", (
+        DEGREE, CONDUCTOR, CONSTANT,
+        Option(("-N", "--norm-bound"), int, REQUIRED, 2, "largest prime norm swept"),
+        Option(("-o", "--output"), str, "-", help="output file, '-' for stdout"),
+        Option(("--threads",), int, 1, 1, "threads computing the rows"),
+        Option(("--json",), _bool_conv, False, help="print JSON instead of CSV"),
+        EXACT,
+    )),
+    "wreathcheck": (cmd_wreathcheck, "brute force vs recursion", (
+        Option(("BASE",), str, REQUIRED, help="base group: C2, C3 or S3"),
+        Option(("N",), int, REQUIRED, 1, "number of wreath factors"),
+    )),
+    "bound": (cmd_bound, "proportion bound on a norm grid", (
+        DEGREE, CONDUCTOR, LEVEL,
+        Option(("-q", "--q-grid"), str, REQUIRED, help="comma-separated norms"),
+        replace(CONSTANT, default="1"),
+        Option(("--measure",), _bool_conv, False, help="also measure at a prime above q"),
+        Option(("--classes",), str, "safe", help="class count: 'safe' or 'exact'"),
+    )),
+}
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -423,57 +418,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="fixed-point proportions and periodic points of x^d + c",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, (_, text, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=text, description=text)
+        for option in options:
+            switch = {"action": "store_const", "const": "yes"} if option.conv is _bool_conv else {}
+            if option.flags[0].startswith("-"):
+                p.add_argument(*option.flags, dest=option.key, help=option.help, **switch)
+            else:
+                p.add_argument(option.key, nargs="?", metavar=option.flags[0], help=option.help)
         p.add_argument("--config", help="key=value file preloading defaults")
-        p.add_argument("--exact", action="store_const", const=True, default=None,
-                       help="print exact rationals instead of decimals")
-
-    p_fpp = sub.add_parser("fpp", help="indicatrix and FPP per multiplier coset")
-    p_fpp.add_argument("-d", dest="d")
-    p_fpp.add_argument("-e", dest="e")
-    p_fpp.add_argument("-n", dest="n")
-    p_fpp.add_argument("--epsilon", dest="epsilon")
-    add_common(p_fpp)
-    p_fpp.set_defaults(func=cmd_fpp)
-
-    p_reg = sub.add_parser("regime", help="trichotomy verdict for x^d + c")
-    p_reg.add_argument("-d", dest="d")
-    p_reg.add_argument("-e", dest="e")
-    p_reg.add_argument("-c", dest="c")
-    p_reg.add_argument("--max-iter", dest="max_iter")
-    add_common(p_reg)
-    p_reg.set_defaults(func=cmd_regime)
-
-    p_sweep = sub.add_parser("sweep", help="periodic counts over a prime stream")
-    p_sweep.add_argument("-d", dest="d")
-    p_sweep.add_argument("-e", dest="e")
-    p_sweep.add_argument("-c", dest="c")
-    p_sweep.add_argument("-N", "--norm-bound", dest="norm_bound")
-    p_sweep.add_argument("-o", "--output", dest="output")
-    p_sweep.add_argument("--threads", dest="threads")
-    p_sweep.add_argument("--json", action="store_const", const=True, default=None)
-    add_common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_wc = sub.add_parser("wreathcheck", help="brute force vs recursion")
-    p_wc.add_argument("base", nargs="?", metavar="BASE")
-    p_wc.add_argument("n", nargs="?", metavar="N")
-    add_common(p_wc)
-    p_wc.set_defaults(func=cmd_wreathcheck)
-
-    p_bound = sub.add_parser("bound", help="proportion bound on a norm grid")
-    p_bound.add_argument("-d", dest="d")
-    p_bound.add_argument("-e", dest="e")
-    p_bound.add_argument("-n", dest="n")
-    p_bound.add_argument("-q", "--q-grid", dest="q_grid",
-                         help="comma-separated norms")
-    p_bound.add_argument("-c", dest="c")
-    p_bound.add_argument("--measure", action="store_const", const=True, default=None)
-    p_bound.add_argument("--classes", dest="classes")
-    add_common(p_bound)
-    p_bound.set_defaults(func=cmd_bound)
-
     return parser
 
 
@@ -490,26 +443,37 @@ def _attach_signed_c(argv: list[str]) -> list[str]:
     return out
 
 
+def _value(option: Option, given: str | None, config: dict[str, str]):
+    """option's value from the command line, else the config file, else its
+    default; a given value is converted and checked against the lower bound."""
+    name = option.flags[-1]
+    text = config.get(option.key) if given is None else given
+    if text is None:
+        if option.default is REQUIRED:
+            kind = "option" if name.startswith("-") else "argument"
+            raise UsageError(f"missing required {kind} {name}")
+        return option.default
+    value = _converted(name, option.conv, text)
+    if option.at_least is not None and value < option.at_least:
+        raise UsageError(f"{name} must be >= {option.at_least}")
+    return value
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    args = parser.parse_args(_attach_signed_c(argv))
+    args = build_parser().parse_args(_attach_signed_c(argv))
+    func, _, options = COMMANDS[args.command]
     try:
-        args.config_values = read_config(args.config) if args.config else {}
-        return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        config = read_config(args.config) if args.config else {}
+        return func(**{option.key: _value(option, getattr(args, option.key), config)
+                       for option in options})
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
     except ind.PrecisionExhaustedError as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except rf.RamifiedPrimeError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, rf.RamifiedPrimeError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

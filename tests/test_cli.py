@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from perprop.cli import fmt6, main
+from perprop.cli import COMMANDS, _bool_conv, fmt6, main
 
 
 def run(capsys, *argv):
@@ -53,14 +53,28 @@ def test_fpp_epsilon_out_of_range_is_reported_before_output(capsys, epsilon):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("regime", "-d", "2", "-e", "0", "-c=1"), "need conductor e >= 1"),
-    (("sweep", "-d", "2", "-e", "-4", "-c=1", "-N", "10"), "need conductor e >= 1"),
-    (("regime", "-d", "1", "-e", "0", "-c=1"), "need degree d >= 2"),
+    (("regime", "-d", "2", "-e", "0", "-c=1"), "-e must be >= 1"),
+    (("sweep", "-d", "2", "-e", "-4", "-c=1", "-N", "10"), "-e must be >= 1"),
+    (("regime", "-d", "1", "-e", "0", "-c=1"), "-d must be >= 2"),
 ])
 def test_bad_degree_or_conductor_is_reported_as_itself(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("fpp", "-d", "1"), "-d must be >= 2"),
+    (("fpp", "-d", "2", "-e", "0"), "-e must be >= 1"),
+    (("bound", "-d", "2", "-q", "7", "-n", "0"), "-n must be >= 1"),
+    (("wreathcheck", "C2", "0"), "N must be >= 1"),
+    (("sweep", "-d", "2", "-c=1", "-N", "1"), "--norm-bound must be >= 2"),
+    (("sweep", "-d", "2", "-c=1", "-N", "10", "--threads", "0"), "--threads must be >= 1"),
+    (("regime", "-d", "2", "-c=1", "--max-iter", "0"), "--max-iter must be >= 1"),
+], ids=["-d", "-e", "-n", "N", "-N", "--threads", "--max-iter"])
+def test_a_value_below_its_lower_bound_names_the_option(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"usage error: {message}\n")
 
 
 def test_regime_c_output(capsys):
@@ -317,6 +331,86 @@ def test_typed_and_config_values_are_checked_alike(tmp_path, capsys, argv, typed
     for source in (typed, ("--config", str(cfg))):
         code, out, err = run(capsys, *argv, *source)
         assert (code, out, err) == (2, "", f"usage error: {message}\n"), source
+
+
+# one value per declared option, none of them its default; {tmp} is the test's
+# temporary directory
+OPTION_VALUES = {
+    "fpp": {"d": "3", "e": "3", "n": "2", "epsilon": "1/2", "exact": "yes"},
+    "regime": {"d": "2", "e": "3", "c": "1+z", "max_iter": "2"},
+    "sweep": {"d": "3", "e": "3", "c": "1", "norm_bound": "10", "output": "{tmp}/rows",
+              "threads": "2", "json": "yes", "exact": "yes"},
+    "wreathcheck": {"base": "C3", "n": "2"},
+    "bound": {"d": "3", "e": "3", "n": "2", "q_grid": "101,1009", "c": "2",
+              "measure": "yes", "classes": "exact"},
+}
+TABLE = [(name, option) for name, (_, _, options) in COMMANDS.items() for option in options]
+
+
+@pytest.mark.parametrize("command, option", TABLE,
+                         ids=[f"{name}-{option.flags[-1]}" for name, option in TABLE])
+def test_every_option_reads_alike_from_its_config_key(tmp_path, capsys, command, option):
+    options = COMMANDS[command][2]
+    values = {key: text.format(tmp=tmp_path) for key, text in OPTION_VALUES[command].items()}
+    assert set(values) == {o.key for o in options}
+    moved = {option}
+    if not option.flags[0].startswith("-"):  # the positionals after it move along
+        moved |= {o for o in options[options.index(option):] if not o.flags[0].startswith("-")}
+    cfg = tmp_path / "perprop.cfg"
+    cfg.write_text("".join(f"{o.key}={values[o.key]}\n" for o in moved))
+
+    def outcome(in_config):
+        argv = [command]
+        for o in options:
+            if o in in_config:
+                continue
+            if not o.flags[0].startswith("-"):
+                argv.append(values[o.key])
+            else:
+                argv += [o.flags[-1]] if o.conv is _bool_conv else [o.flags[-1], values[o.key]]
+        if in_config:
+            argv += ["--config", str(cfg)]
+        code, out, err = run(capsys, *argv)
+        written = Path(values.get("output", tmp_path / "none"))
+        return code, out, err, written.read_text() if written.exists() else None
+
+    flagged = outcome(set())
+    assert flagged[0] in (0, 3) and flagged[2] == ""
+    assert outcome(moved) == flagged
+
+
+@pytest.mark.parametrize("argv", [
+    ("regime", "-d", "2", "-c=1"), ("wreathcheck", "C2", "2"), ("bound", "-d", "2", "-q", "7"),
+])
+def test_exact_is_refused_where_it_changes_nothing(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--exact"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+# every help string each subcommand's --help carried before the option table
+HELP_STRINGS = {
+    "fpp": ["key=value file preloading defaults", "print exact rationals instead of decimals"],
+    "regime": ["key=value file preloading defaults"],
+    "sweep": ["key=value file preloading defaults", "print exact rationals instead of decimals"],
+    "wreathcheck": ["key=value file preloading defaults"],
+    "bound": ["key=value file preloading defaults", "comma-separated norms"],
+    None: ["fixed-point proportions and periodic points of x^d + c",
+           "indicatrix and FPP per multiplier coset", "trichotomy verdict for x^d + c",
+           "periodic counts over a prime stream", "brute force vs recursion",
+           "proportion bound on a norm grid"],
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_STRINGS))
+def test_help_keeps_its_strings(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for line in HELP_STRINGS[command]:
+        assert line in text
 
 
 def test_bound_refuses_a_bad_c_without_measure(capsys):
