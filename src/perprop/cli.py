@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage, 3 hypothesis failure, 4 I/O failure,
 --exact (fpp and sweep) switches to p/q.  Each option is declared once, in
 COMMANDS; main takes its value from the command line, else the --config
 key=value file (key norm_bound for --norm-bound, n for N), else its default.
+A config key that the command does not declare is a usage error.
 """
 
 from __future__ import annotations
@@ -131,6 +132,11 @@ def coset_fpp_enclosures(d: int, e: int, n: int):
         yield m, phi, 1 - iv.hi, 1 - iv.lo
 
 
+def _setting(d: int, e: int, c: str) -> pm.CycSetting:
+    """The map x^d + c for checked d and e: a failure here is c's."""
+    return _converted("-c", lambda text: pm.CycSetting.make(d, e, text), c)
+
+
 def _show_enclosure(lo: Fraction, hi: Fraction, exact_form: bool) -> str:
     if lo == hi:
         return f"{frac_str(lo)}" if exact_form else f"{frac_str(lo)} ({fmt6(lo)})"
@@ -161,7 +167,7 @@ def cmd_fpp(d: int, e: int, n: int, epsilon: Fraction | None, exact: bool) -> in
 # -- regime -------------------------------------------------------------------
 
 def cmd_regime(d: int, e: int, c: str, max_iter: int) -> int:
-    setting = pm.CycSetting.make(d, e, c)
+    setting = _setting(d, e, c)
     report = pm.zero_orbit_report(setting, max_iter)
     print(f"setting: {setting}")
     if report.verdict is pm.Preperiodicity.PREPERIODIC:
@@ -267,7 +273,7 @@ def _summary_lines(rows: list[SweepRow], norm_bound: int, exact_form: bool) -> l
 
 def cmd_sweep(d: int, e: int, c: str, norm_bound: int, output: str, threads: int,
               json: bool, exact: bool) -> int:
-    setting = pm.CycSetting.make(d, e, c)
+    setting = _setting(d, e, c)
     primes = rf.prime_stream(e, norm_bound)
     if threads == 1:
         rows = [compute_row(setting, P) for P in primes]
@@ -334,7 +340,7 @@ def cmd_bound(d: int, e: int, n: int, q_grid: str, c: str, measure: bool,
             for tok in q_grid.replace(",", " ").split()]
     if not grid or min(grid) < 2:
         raise UsageError("q grid entries must be >= 2")
-    setting = pm.CycSetting.make(d, e, c)  # refuses a bad -c even unmeasured
+    setting = _setting(d, e, c)  # refuses a bad -c even unmeasured
     # a measured row is bounded at the norm of the prime it measures, q^f for
     # an inert q; every entry is resolved before anything prints
     primes = {}
@@ -342,7 +348,10 @@ def cmd_bound(d: int, e: int, n: int, q_grid: str, c: str, measure: bool,
         for q in grid:
             if not rf.is_prime(q):
                 raise UsageError(f"--measure needs prime grid entries, got {q}")
-            primes[q] = rf.primes_above(q, e)[0]
+            try:
+                primes[q] = rf.primes_above(q, e)[0]
+            except rf.RamifiedPrimeError as exc:
+                raise UsageError(f"--q-grid entry {q} ramifies in Q(zeta_{e})") from exc
     A = pm.galois_A(d, e)
     A_order = len(A)
     B_order = A_order * wreath_order(d, d, n)
@@ -465,6 +474,10 @@ def main(argv=None) -> int:
     func, _, options = COMMANDS[args.command]
     try:
         config = read_config(args.config) if args.config else {}
+        keys = {option.key for option in options}
+        for key in config:
+            if key not in keys:
+                raise UsageError(f"unknown config key {key!r} for {args.command}")
         return func(**{option.key: _value(option, getattr(args, option.key), config)
                        for option in options})
     except ResourceCapError as exc:
@@ -473,7 +486,7 @@ def main(argv=None) -> int:
     except ind.PrecisionExhaustedError as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (UsageError, rf.RamifiedPrimeError, ValueError) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -5,7 +5,12 @@ basis of a deterministic modulus: the first monic irreducible of degree f
 when candidates are read highest-coefficient-first (equivalently, ordered by
 the integer sum a_j p^j).  A prime of the cyclotomic field is recorded as
 (p, residue field, image of zeta), one per Frobenius orbit of primitive
-roots of unity, so sweeps are bit-reproducible across runs.
+roots of unity, so sweeps are bit-reproducible across runs.  The canonical
+root of unity of exact order e' in F_q is the cofactor power a^((q-1)/e') of
+the element a of least index >= 2 (index as in `element_from_index`) for which
+that power has exact order e'.  Indices below p are the constants of F_p, whose
+powers stay in F_p^*; when e' does not divide p - 1 (residue degree f >= 2)
+none of them can have order e', so the scan starts at index p.
 
 Conductors congruent to 2 mod 4 are normalized to their odd half (same
 field), and only unramified primes (p not dividing the normalized conductor)
@@ -121,6 +126,8 @@ class ResidueField:
         return tuple([c % p for c in poly_mulmod(a, b, self.modulus)])
 
     def pow(self, a: Element, k: int) -> Element:
+        if self.f == 1:
+            return (pow(a[0], k, self.p),)
         return power(a, k, self.mul, self.one)
 
     def inv(self, a: Element) -> Element:
@@ -175,6 +182,11 @@ def make_field(p: int, f: int) -> ResidueField:
         raise ValueError(f"{p} is not prime")
     if f < 1:
         raise ValueError("extension degree must be >= 1")
+    return _field(p, f)
+
+
+def _field(p: int, f: int) -> ResidueField:
+    """make_field for a prime p and f >= 1, unchecked."""
     if f == 1:
         return ResidueField(p, 1, (0, 1))
     for idx in range(p**f):
@@ -220,7 +232,10 @@ def _primitive_root_of_unity(field: ResidueField, order: int) -> Element:
         return field.one
     cofactor = (field.q - 1) // order
     prime_parts = [r for r in range(2, order + 1) if order % r == 0 and is_prime(r)]
-    for idx in range(2, field.q):
+    # a constant's power stays in F_p^*, of order p - 1: when order does not
+    # divide p - 1 (f >= 2 in a stream) indices 2..p-1 all fail, so skip them
+    start = 2 if (field.p - 1) % order == 0 else field.p
+    for idx in range(start, field.q):
         candidate = field.pow(field.element_from_index(idx), cofactor)
         if candidate == field.zero or candidate == field.one:
             continue
@@ -237,11 +252,15 @@ def primes_above(p: int, e: int) -> list[PrimeOfK]:
         raise ValueError(f"{p} is not prime")
     if eprime > 1 and eprime % p == 0:
         raise RamifiedPrimeError(f"p={p} ramifies in Q(zeta_{e})")
+    return _primes_above(p, e, eprime, multiplicative_order(p, eprime))
+
+
+def _primes_above(p: int, e: int, eprime: int, f: int) -> list[PrimeOfK]:
+    """primes_above for an unramified prime p of residue degree f =
+    ord_eprime(p), unchecked."""
+    field = _field(p, f)
     if eprime == 1:
-        field = make_field(p, 1)
         return [PrimeOfK(p=p, e=e, eprime=1, field=field, zeta_image=field.one)]
-    f = multiplicative_order(p, eprime)
-    field = make_field(p, f)
     root = _primitive_root_of_unity(field, eprime)
     reps = []
     seen: set[int] = set()
@@ -268,13 +287,13 @@ def prime_stream(e: int, norm_bound: int) -> list[PrimeOfK]:
         raise ValueError("norm_bound must be >= 2")
     eprime = normalized_conductor(e)
     out: list[PrimeOfK] = []
-    for p in primes_up_to(norm_bound):
+    for p in primes_up_to(norm_bound):  # sieve primes: no re-test
         if eprime > 1 and eprime % p == 0:
             continue
         f = multiplicative_order(p, eprime)
         if p**f > norm_bound:
             continue
-        out.extend(primes_above(p, e))
+        out.extend(_primes_above(p, e, eprime, f))
     out.sort(key=lambda P: (P.norm, P.p, P.zeta_image))
     return out
 

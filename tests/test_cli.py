@@ -237,7 +237,8 @@ def test_bound_measure(capsys):
 
 
 @pytest.mark.parametrize("e, grid, message", [
-    ("3", "7,3", "p=3 ramifies in Q(zeta_3)"),
+    ("3", "7,3", "--q-grid entry 3 ramifies in Q(zeta_3)"),
+    ("5", "5", "--q-grid entry 5 ramifies in Q(zeta_5)"),
     ("1", "7,9", "--measure needs prime grid entries, got 9"),
 ])
 def test_bound_measure_rejects_a_grid_entry_before_output(capsys, e, grid, message):
@@ -285,6 +286,18 @@ def test_config_file_preloads_defaults(tmp_path, capsys):
     code, out, _ = run(capsys, "sweep", "--config", str(cfg), "-N", "5")
     assert code == 0
     assert "7,1,7" not in out
+
+
+@pytest.mark.parametrize("argv, config, key", [
+    (("sweep", "-d", "2", "-c=1", "-N", "10"), "thread = 2\n", "thread"),
+    (("regime", "-d", "2", "-c=1"), "exact = yes\n", "exact"),
+], ids=["sweep-thread", "regime-exact"])
+def test_config_key_the_command_does_not_declare_is_refused(tmp_path, capsys, argv,
+                                                            config, key):
+    cfg = tmp_path / "perprop.cfg"
+    cfg.write_text(config)
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert (code, out, err) == (2, "", f"usage error: unknown config key {key!r} for {argv[0]}\n")
 
 
 def test_config_file_is_reread_on_every_call(tmp_path, capsys):
@@ -417,6 +430,16 @@ def test_bound_refuses_a_bad_c_without_measure(capsys):
     code, out, err = run(capsys, "bound", "-d", "2", "-n", "1", "-q", "10", "-c=abc")
     assert (code, out) == (2, "")
     assert err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("regime", "-d", "2", "-e", "5", "-c=abc"),
+    ("sweep", "-d", "2", "-e", "5", "-c=abc", "-N", "10"),
+    ("bound", "-d", "2", "-e", "5", "-q", "11", "-c=abc", "--measure"),
+], ids=["regime", "sweep", "bound"])
+def test_a_c_that_is_no_cyclotomic_literal_names_c(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "usage error: bad value for -c: 'abc'\n")
 
 
 def test_fpp_degree_past_the_cap_is_refused(capsys):

@@ -1,10 +1,12 @@
+import hashlib
 import random
 
 import pytest
 
-from perprop.cyclotomic import euler_phi, parse_cyclotomic
+from perprop.cyclotomic import euler_phi, parse_cyclotomic, power
 from perprop.residue_fields import (
     RamifiedPrimeError,
+    _primitive_root_of_unity,
     is_prime,
     make_field,
     multiplicative_order,
@@ -169,6 +171,63 @@ def test_prime_stream_sorted_and_complete():
             if p**f <= 200:
                 expected.extend([p] * (euler_phi(eprime) // f))
         assert sorted(P.p for P in stream) == sorted(expected)
+
+
+def test_prime_stream_is_unchanged():
+    # every (e, p, f, modulus, zeta image) of these streams, in stream order,
+    # as recorded before the stream skipped primality re-tests and constants
+    digest = hashlib.sha256()
+    count = 0
+    for e in (1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 15, 16):
+        for P in prime_stream(e, 20000):
+            digest.update(repr((P.e, P.p, P.f, P.field.modulus, P.zeta_image)).encode())
+            count += 1
+    assert count == 27211
+    assert digest.hexdigest() == (
+        "f27f3c3dabca732297f53ce267b8ec5ccffb55b4abe4148988c710b78b6f2e3b"
+    )
+
+
+def _has_exact_order(field, a, order):
+    return field.pow(a, order) == field.one and all(
+        field.pow(a, order // r) != field.one
+        for r in range(2, order + 1)
+        if order % r == 0 and is_prime(r)
+    )
+
+
+def test_root_search_skips_only_constants_that_cannot_succeed():
+    # oracle: a plain scan from index 2 over every field F_{p^f}, f >= 2,
+    # q <= 2000, and each conductor e' (not 2 mod 4) whose primes above p
+    # have that residue field
+    checked = 0
+    for p in primes_up_to(44):
+        f = 2
+        while p**f <= 2000:
+            field = make_field(p, f)
+            for eprime in range(3, field.q):
+                if (field.q - 1) % eprime or eprime % 4 == 2:
+                    continue
+                if multiplicative_order(p, eprime) != f:
+                    continue
+                cofactor = (field.q - 1) // eprime
+                powers = (field.pow(field.element_from_index(i), cofactor)
+                          for i in range(2, field.q))
+                expected = next(a for a in powers if _has_exact_order(field, a, eprime))
+                assert _primitive_root_of_unity(field, eprime) == expected, (p, f, eprime)
+                for const in range(2, p):
+                    a = field.pow(field.from_int(const), cofactor)
+                    assert not _has_exact_order(field, a, eprime), (p, f, eprime, const)
+                checked += 1
+            f += 1
+    assert checked == 226
+
+
+def test_prime_field_pow_matches_square_and_multiply():
+    field = make_field(101, 1)
+    for a in map(field.element_from_index, range(field.q)):
+        for k in (0, 1, 2, 7, 100, 12345):
+            assert field.pow(a, k) == power(a, k, field.mul, field.one)
 
 
 def test_prime_stream_conductor_two_matches_rationals():
