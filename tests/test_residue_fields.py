@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from perprop.cyclotomic import euler_phi, parse_cyclotomic, power
+from perprop.cyclotomic import euler_phi, parse_cyclotomic
 from perprop.residue_fields import (
     RamifiedPrimeError,
     _primitive_root_of_unity,
@@ -103,12 +103,13 @@ def test_field_axioms_random_triples():
 
 
 def test_field_pow_matches_repeated_mul():
-    field = make_field(5, 2)
-    for a in map(field.element_from_index, range(field.q)):
-        acc = field.one
-        for k in range(1, 6):
-            acc = field.mul(acc, a)
-            assert field.pow(a, k) == acc
+    for field in (make_field(5, 2), make_field(101, 1)):
+        for a in map(field.element_from_index, range(field.q)):
+            acc = field.one
+            assert field.pow(a, 0) == acc
+            for k in range(1, 6):
+                acc = field.mul(acc, a)
+                assert field.pow(a, k) == acc
 
 
 def test_primes_above_examples():
@@ -221,13 +222,6 @@ def test_root_search_skips_only_constants_that_cannot_succeed():
                 checked += 1
             f += 1
     assert checked == 226
-
-
-def test_prime_field_pow_matches_square_and_multiply():
-    field = make_field(101, 1)
-    for a in map(field.element_from_index, range(field.q)):
-        for k in (0, 1, 2, 7, 100, 12345):
-            assert field.pow(a, k) == power(a, k, field.mul, field.one)
 
 
 def test_prime_stream_conductor_two_matches_rationals():
