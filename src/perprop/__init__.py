@@ -43,7 +43,6 @@ from .powermap import (
     coset_indicatrix,
     coset_status,
     galois_A,
-    is_zero_preperiodic,
     zero_orbit_report,
 )
 from .residue_fields import (

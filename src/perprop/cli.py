@@ -34,7 +34,7 @@ from . import dynamics as dyn
 from . import indicatrix as ind
 from . import powermap as pm
 from . import residue_fields as rf
-from .perms import ResourceCapError, check_degree, cyclic_group, fpp, symmetric_group
+from .perms import DEGREE_CAP, ResourceCapError, cyclic_group, fpp, symmetric_group
 from .wreath import iterated_wreath, wreath_order
 
 EXIT_OK = 0
@@ -105,6 +105,7 @@ class Option:
     default: object = None
     at_least: int | None = None
     help: str | None = None
+    at_most: int | None = None
 
     @property
     def key(self) -> str:  # config key and keyword argument
@@ -112,6 +113,8 @@ class Option:
 
 
 DEGREE = Option(("-d",), int, REQUIRED, 2, "degree d of x^d + c")
+# fpp and bound iterate coset indicatrices of degree up to d by dense Horner
+CAPPED_DEGREE = replace(DEGREE, at_most=DEGREE_CAP)
 CONDUCTOR = Option(("-e",), int, 1, 1, "conductor e of the base field Q(zeta_e)")
 LEVEL = Option(("-n",), int, 1, 1, "level n of the iterated extension")
 CONSTANT = Option(("-c",), str, REQUIRED, help="constant c, a polynomial in z = zeta_e")
@@ -125,7 +128,6 @@ def coset_fpp_enclosures(d: int, e: int, n: int):
     """Yield (m, phi, lo, hi) for each multiplier m of the model group over
     Q(zeta_e): phi is the indicatrix of m's level-1 coset and [lo, hi]
     encloses 1 - phi^n(0), the fixed-point proportion of its n-th iterate."""
-    check_degree(d)  # phi has degree up to d and is iterated by dense Horner
     for m in pm.galois_A(d, e):
         phi = pm.coset_indicatrix(m, d)
         iv = ind.iterate_at_zero(phi, n)
@@ -184,20 +186,16 @@ def cmd_regime(d: int, e: int, c: str, max_iter: int) -> int:
         return EXIT_HYPOTHESIS
     print(
         f"critical orbit of 0: not-preperiodic (escape certified at iterate "
-        f"{report.escape_index})"
+        f"{report.steps})"
     )
     regime = pm.classify_regime(setting, report.verdict)
     if regime.limsup_one:
         print(f"regime: (a)+(c): limsup = 1, witness m={regime.witness_m}")
     else:
         print("regime: (a)+(b): limit = 0")
-    for rep in regime.cosets:
-        extra = (
-            f" (fixed-point-free at j={rep.fpf_witness_j})"
-            if rep.fpf_witness_j is not None
-            else ""
-        )
-        print(f"coset m={rep.m}: {rep.status.value}{extra}")
+    for m, status in regime.cosets:
+        fpf = status is pm.CosetStatus.HAS_FIXED_POINT_FREE  # j = 1 is then fixed-point-free
+        print(f"coset m={m}: {status.value}{' (fixed-point-free at j=1)' if fpf else ''}")
     return EXIT_OK
 
 
@@ -274,6 +272,9 @@ def _summary_lines(rows: list[SweepRow], norm_bound: int, exact_form: bool) -> l
 def cmd_sweep(d: int, e: int, c: str, norm_bound: int, output: str, threads: int,
               json: bool, exact: bool) -> int:
     setting = _setting(d, e, c)
+    if norm_bound + 1 > dyn.MEMORY_CAP_POINTS:  # before the sieve, which takes N + 1 bytes
+        raise ResourceCapError(f"-N {norm_bound} allows graphs of {norm_bound + 1} points, "
+                               f"cap is {dyn.MEMORY_CAP_POINTS}")
     primes = rf.prime_stream(e, norm_bound)
     if threads == 1:
         rows = [compute_row(setting, P) for P in primes]
@@ -390,7 +391,7 @@ def cmd_bound(d: int, e: int, n: int, q_grid: str, c: str, measure: bool,
 # name -> (command, help, options in the order they are resolved and checked)
 COMMANDS: dict[str, tuple[Callable[..., int], str, tuple[Option, ...]]] = {
     "fpp": (cmd_fpp, "indicatrix and FPP per multiplier coset", (
-        DEGREE, CONDUCTOR, LEVEL,
+        CAPPED_DEGREE, CONDUCTOR, LEVEL,
         Option(("--epsilon",), Fraction, help="also print each coset's N_eps"),
         EXACT,
     )),
@@ -411,7 +412,7 @@ COMMANDS: dict[str, tuple[Callable[..., int], str, tuple[Option, ...]]] = {
         Option(("N",), int, REQUIRED, 1, "number of wreath factors"),
     )),
     "bound": (cmd_bound, "proportion bound on a norm grid", (
-        DEGREE, CONDUCTOR, LEVEL,
+        CAPPED_DEGREE, CONDUCTOR, LEVEL,
         Option(("-q", "--q-grid"), str, REQUIRED, help="comma-separated norms"),
         replace(CONSTANT, default="1"),
         Option(("--measure",), _bool_conv, False, help="also measure at a prime above q"),
@@ -454,7 +455,7 @@ def _attach_signed_c(argv: list[str]) -> list[str]:
 
 def _value(option: Option, given: str | None, config: dict[str, str]):
     """option's value from the command line, else the config file, else its
-    default; a given value is converted and checked against the lower bound."""
+    default; a given value is converted and checked against its bounds."""
     name = option.flags[-1]
     text = config.get(option.key) if given is None else given
     if text is None:
@@ -465,6 +466,8 @@ def _value(option: Option, given: str | None, config: dict[str, str]):
     value = _converted(name, option.conv, text)
     if option.at_least is not None and value < option.at_least:
         raise UsageError(f"{name} must be >= {option.at_least}")
+    if option.at_most is not None and value > option.at_most:
+        raise UsageError(f"{name} must be <= {option.at_most}")
     return value
 
 

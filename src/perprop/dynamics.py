@@ -117,8 +117,11 @@ def _strip_elems(field: ResidueField, coeffs) -> tuple[Element, ...]:
 class FunctionalGraph:
     """successor[i] = index of the image of point i; index size-1 is infinity."""
 
-    size: int
     successor: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.successor.size
 
 
 def _check_int64(field: ResidueField) -> None:
@@ -147,7 +150,7 @@ def build_graph(m: ReducedMap) -> FunctionalGraph:
         idx = np.arange(start, min(start + BLOCK, q), dtype=np.int64)
         succ[start : start + idx.size] = _finite_successors(m, idx)
     succ[q] = _infinity_successor(m)
-    return FunctionalGraph(size=size, successor=succ)
+    return FunctionalGraph(succ)
 
 
 def _finite_successors(m: ReducedMap, idx: np.ndarray) -> np.ndarray:
@@ -205,8 +208,10 @@ def _indices(F: ResidueField, x: np.ndarray) -> np.ndarray:
 
 def _mul(F: ResidueField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise product: convolve the coefficient rows, then reduce by the
-    monic modulus from the top coefficient down."""
+    monic modulus from the top coefficient down (over F_p, one product)."""
     f, p = F.f, F.p
+    if f == 1:
+        return a * b % p
     conv = np.zeros((2 * f - 1, max(a.shape[1], b.shape[1])), dtype=np.int64)
     for i in range(f):
         conv[i : i + f] += a[i] * b

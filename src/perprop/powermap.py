@@ -80,11 +80,14 @@ def _check_degree_and_conductor(d: int, e: int) -> None:
 
 @dataclass(frozen=True)
 class GaloisData:
-    """The model's degree d, conductor e and multipliers A."""
+    """The model's degree d and conductor e; its multipliers are A."""
 
     d: int
     e: int
-    A: tuple[int, ...]
+
+    @property
+    def A(self) -> tuple[int, ...]:
+        return galois_A(self.d, self.e)
 
     def coset_permset(self, m: int) -> PermSet:
         """The coset {i -> m*i + j : j} as a set of permutations of Z/d: row j
@@ -110,7 +113,7 @@ def build_B1(d: int, e: int) -> GaloisData:
     """The level-1 model {i -> m*i + j : m in A, j in Z/d} for x^d + c over
     Q(zeta_e), whatever c is; its cosets are built on demand."""
     perms.check_degree(d)
-    return GaloisData(d=d, e=e, A=galois_A(d, e))
+    return GaloisData(d=d, e=e)
 
 
 def b_n_permset(d: int, e: int, n: int) -> PermSet:
@@ -133,6 +136,8 @@ def coset_status(m: int, d: int) -> CosetStatus:
 
     i -> m*i + j has a fixed point iff d | (m-1)i + j for some i, i.e. iff
     gcd(m-1, d) divides j; so the whole coset fixes points iff gcd(m-1,d)=1.
+    Otherwise g = gcd(m-1, d) > 1 does not divide 1, so j = 1 is always a
+    fixed-point-free element of the coset.
     """
     if gcd(m, d) != 1:
         raise ValueError(f"multiplier {m} not a unit mod {d}")
@@ -154,32 +159,24 @@ def coset_indicatrix(m: int, d: int) -> IndicatrixPoly:
     return IndicatrixPoly((1 - Fraction(1, g), *[0] * (g - 1), Fraction(1, g)))
 
 
-def fixed_point_free_witness(m: int, d: int) -> int | None:
-    """Smallest j making i -> m*i + j fixed-point-free, or None."""
-    g = gcd(m - 1, d)
-    if g == 1:
-        return None
-    return 1  # any j not divisible by g; 1 works whenever g > 1
-
-
-@dataclass(frozen=True)
-class CosetReport:
-    m: int
-    status: CosetStatus
-    fpf_witness_j: int | None
-
-
 @dataclass(frozen=True)
 class RegimeReport:
-    """Trichotomy verdict for the periodic-point proportion over primes."""
+    """Trichotomy verdict for the periodic-point proportion over primes, from
+    the (m, status) pair of each multiplier in galois_A order.  The liminf is
+    always 0 under the not-preperiodic hypothesis; the limit is 0 unless some
+    multiplier's whole coset fixes points, and then the limsup is 1."""
 
-    d: int
-    e: int
-    liminf_zero: bool  # always true under the not-preperiodic hypothesis
-    limit_zero: bool
-    limsup_one: bool
-    witness_m: int | None  # multiplier whose whole coset fixes points
-    cosets: tuple[CosetReport, ...]
+    cosets: tuple[tuple[int, CosetStatus], ...]
+
+    @property
+    def witness_m(self) -> int | None:
+        """The least multiplier whose whole coset fixes points, or None."""
+        return min((m for m, status in self.cosets
+                    if status is CosetStatus.ALL_HAVE_FIXED_POINTS), default=None)
+
+    @property
+    def limsup_one(self) -> bool:
+        return self.witness_m is not None
 
 
 def classify_regime(s: CycSetting, preper: Preperiodicity) -> RegimeReport:
@@ -188,22 +185,7 @@ def classify_regime(s: CycSetting, preper: Preperiodicity) -> RegimeReport:
         raise ValueError(
             f"classification needs '0 is not preperiodic'; got {preper.value}"
         )
-    A = galois_A(s.d, s.e)
-    cosets = tuple(
-        CosetReport(m, coset_status(m, s.d), fixed_point_free_witness(m, s.d))
-        for m in A
-    )
-    full = [r.m for r in cosets if r.status is CosetStatus.ALL_HAVE_FIXED_POINTS]
-    limsup_one = bool(full)
-    return RegimeReport(
-        d=s.d,
-        e=s.e,
-        liminf_zero=True,
-        limit_zero=not limsup_one,
-        limsup_one=limsup_one,
-        witness_m=min(full) if full else None,
-        cosets=cosets,
-    )
+    return RegimeReport(tuple((m, coset_status(m, s.d)) for m in galois_A(s.d, s.e)))
 
 
 # -- critical orbit of 0 ------------------------------------------------------
@@ -218,9 +200,8 @@ ORBIT_BIT_BUDGET = 250_000
 @dataclass(frozen=True)
 class OrbitReport:
     verdict: Preperiodicity
-    steps: int
+    steps: int  # iterates computed; an escape is certified at the last one
     repeat_index: int | None = None  # earlier index the repeat collided with
-    escape_index: int | None = None  # first iterate certified past the radius
 
 
 @lru_cache(maxsize=None)
@@ -303,11 +284,6 @@ def zero_orbit_report(s: CycSetting, max_iter: int) -> OrbitReport:
         if sum(abs(x).bit_length() for x in z) > ORBIT_BIT_BUDGET:
             return OrbitReport(Preperiodicity.UNDECIDED, steps=step)
         if _exceeds_radius(z, s.c, s.e):
-            return OrbitReport(
-                Preperiodicity.NOT_PREPERIODIC, steps=step, escape_index=step
-            )
+            return OrbitReport(Preperiodicity.NOT_PREPERIODIC, steps=step)
     return OrbitReport(Preperiodicity.UNDECIDED, steps=max_iter)
 
-
-def is_zero_preperiodic(s: CycSetting, max_iter: int) -> Preperiodicity:
-    return zero_orbit_report(s, max_iter).verdict

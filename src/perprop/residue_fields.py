@@ -207,9 +207,12 @@ class PrimeOfK:
 
     p: int
     e: int
-    eprime: int
     field: ResidueField
     zeta_image: Element
+
+    @property
+    def eprime(self) -> int:
+        return normalized_conductor(self.e)
 
     @property
     def f(self) -> int:
@@ -260,7 +263,7 @@ def _primes_above(p: int, e: int, eprime: int, f: int) -> list[PrimeOfK]:
     ord_eprime(p), unchecked."""
     field = _field(p, f)
     if eprime == 1:
-        return [PrimeOfK(p=p, e=e, eprime=1, field=field, zeta_image=field.one)]
+        return [PrimeOfK(p=p, e=e, field=field, zeta_image=field.one)]
     root = _primitive_root_of_unity(field, eprime)
     reps = []
     seen: set[int] = set()
@@ -275,9 +278,7 @@ def _primes_above(p: int, e: int, eprime: int, f: int) -> list[PrimeOfK]:
         seen.update(orbit_exps)
         reps.append(min(field.pow(root, j) for j in orbit_exps))
     reps.sort()
-    return [
-        PrimeOfK(p=p, e=e, eprime=eprime, field=field, zeta_image=r) for r in reps
-    ]
+    return [PrimeOfK(p=p, e=e, field=field, zeta_image=r) for r in reps]
 
 
 def prime_stream(e: int, norm_bound: int) -> list[PrimeOfK]:

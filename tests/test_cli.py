@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from perprop import dynamics, residue_fields
 from perprop.cli import COMMANDS, _bool_conv, fmt6, main
+
+GOLDEN_EXACT_GROUP = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "exact_group.json"
 
 
 def run(capsys, *argv):
@@ -99,6 +102,21 @@ def test_regime_undecided_exit_3(capsys):
     code, out, _ = run(capsys, "regime", "-d", "2", "-e", "1", "-c", "1",
                        "--max-iter", "1")
     assert code == 3
+
+
+def test_every_recorded_group_side_command_replays(capsys):
+    # the fixed fpp, wreathcheck and bound commands and all 500 recorded
+    # regime commands: limit 0, limsup 1, preperiodic and undecided outcomes
+    golden = json.loads(GOLDEN_EXACT_GROUP.read_text())
+    commands = golden["fixed"] + golden["regime_fast"]
+    commands += [cmd for stratum in golden["regime_slow_strata"] for cmd in stratum]
+    assert len(commands) == 506
+    mismatches = []
+    for cmd in commands:
+        code, out, _ = run(capsys, *cmd["argv"])
+        if (code, out) != (cmd["exit"], cmd["stdout"]):
+            mismatches.append(" ".join(cmd["argv"]))
+    assert mismatches == []
 
 
 EXPECTED_SWEEP_D3_N10 = """p,f,norm,wild,periodic,total,proportion,bijective,image_sizes
@@ -336,7 +354,8 @@ def test_unparsable_option_value_names_the_option(tmp_path, capsys, argv, config
     (("wreathcheck", "C2"), ("abc",), "n=abc", "bad value for N: 'abc'"),
     (("bound", "-d", "2", "-q", "7"), ("--classes", "foo"), "classes=foo",
      "--classes must be 'safe' or 'exact'"),
-], ids=["fpp-d", "sweep-N", "wreathcheck-N", "bound-classes"])
+    (("fpp",), ("-d", "10001"), "d=10001", "-d must be <= 10000"),
+], ids=["fpp-d", "sweep-N", "wreathcheck-N", "bound-classes", "fpp-d-cap"])
 def test_typed_and_config_values_are_checked_alike(tmp_path, capsys, argv, typed,
                                                    config, message):
     cfg = tmp_path / "perprop.cfg"
@@ -443,9 +462,23 @@ def test_a_c_that_is_no_cyclotomic_literal_names_c(capsys, argv):
 
 
 def test_fpp_degree_past_the_cap_is_refused(capsys):
-    code, out, err = run(capsys, "fpp", "-d", "10001", "-n", "1")
-    assert (code, out) == (2, "")
-    assert err == "usage error: degree must be in [1, 10000], got 10001\n"
+    for argv in (("fpp", "-d", "10001", "-n", "1"), ("bound", "-d", "10001", "-q", "7")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "usage error: -d must be <= 10000\n"
+
+
+def test_sweep_past_the_graph_cap_is_refused_before_the_sieve(capsys, monkeypatch):
+    monkeypatch.setattr(dynamics, "MEMORY_CAP_POINTS", 100)
+    stream, streamed = residue_fields.prime_stream, []
+    monkeypatch.setattr(residue_fields, "prime_stream",
+                        lambda *args: streamed.append(args) or stream(*args))
+    code, out, err = run(capsys, "sweep", "-d", "2", "-c=1", "-N", "100")
+    assert (code, out, streamed) == (5, "", [])
+    assert err == "resource cap: -N 100 allows graphs of 101 points, cap is 100\n"
+    code, out, _ = run(capsys, "sweep", "-d", "2", "-c=1", "-N", "99")
+    assert (code, streamed) == (0, [(1, 99)])
+    assert out.splitlines()[-3] == "97,1,97,false,10,98,0.102041,false,98;50;38;30;26;24;22;20"
 
 
 def test_epsilon_iteration_cap_is_a_resource_cap(capsys, monkeypatch):

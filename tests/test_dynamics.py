@@ -152,7 +152,7 @@ def test_constant_successor_graph():
     from perprop.dynamics import FunctionalGraph
 
     succ = np.zeros(7, dtype=np.int64)
-    g = FunctionalGraph(size=7, successor=succ)
+    g = FunctionalGraph(succ)
     per, sizes = periodic_by_image_iteration(g)
     assert per == frozenset({0})
     assert sizes == (7, 1, 1)
@@ -180,7 +180,7 @@ def test_algorithms_agree_with_brute_oracle():
         succ = [rng.randrange(size) for _ in range(size)]
         from perprop.dynamics import FunctionalGraph
 
-        g = FunctionalGraph(size=size, successor=np.array(succ, dtype=np.int64))
+        g = FunctionalGraph(np.array(succ, dtype=np.int64))
         expected = brute_periodic(succ)
         assert periodic_by_cycles(g) == expected
         assert periodic_by_image_iteration(g)[0] == expected

@@ -36,7 +36,6 @@ from perprop.powermap import (
     coset_indicatrix,
     coset_status,
     galois_A,
-    is_zero_preperiodic,
     zero_orbit_report,
 )
 
@@ -130,6 +129,8 @@ def test_coset_status_agrees_with_exhaustive_search_up_to_30():
                 continue
             brute = brute_coset_all_fixed(m, d)
             assert (coset_status(m, d) is CosetStatus.ALL_HAVE_FIXED_POINTS) == brute
+            if not brute:  # the translate j = 1, which regime names, fixes no point
+                assert all(((m - 1) * i + 1) % d for i in range(d)), (m, d)
 
 
 def test_fixed_j_count_is_d_over_gcd():
@@ -166,8 +167,7 @@ def test_regime_table():
         report = classify_regime(
             CycSetting.make(d, e, 1), Preperiodicity.NOT_PREPERIODIC
         )
-        assert report.liminf_zero
-        assert report.limit_zero != report.limsup_one  # exactly one holds
+        assert [m for m, _ in report.cosets] == list(galois_A(d, e))
         got = "c" if report.limsup_one else "b"
         assert got == regime, (d, e)
 
@@ -185,7 +185,7 @@ def test_regime_b_when_conductor_shares_factor():
         report = classify_regime(
             CycSetting.make(d, e, 1), Preperiodicity.NOT_PREPERIODIC
         )
-        assert report.limit_zero, (d, e)
+        assert not report.limsup_one and report.witness_m is None, (d, e)
 
 
 def test_classify_regime_requires_hypothesis():
@@ -197,9 +197,9 @@ def test_classify_regime_requires_hypothesis():
 
 
 def test_preperiodicity_examples():
-    assert is_zero_preperiodic(CycSetting.make(2, 1, 0), 10) is Preperiodicity.PREPERIODIC
-    assert is_zero_preperiodic(CycSetting.make(2, 1, -1), 10) is Preperiodicity.PREPERIODIC
-    assert is_zero_preperiodic(CycSetting.make(2, 1, 1), 10) is Preperiodicity.NOT_PREPERIODIC
+    for c, verdict in [(0, Preperiodicity.PREPERIODIC), (-1, Preperiodicity.PREPERIODIC),
+                       (1, Preperiodicity.NOT_PREPERIODIC)]:
+        assert zero_orbit_report(CycSetting.make(2, 1, c), 10).verdict is verdict
 
 
 def test_preperiodic_gauss_like_orbits():
@@ -240,7 +240,7 @@ def test_escape_soundness_ten_more_iterations():
         report = zero_orbit_report(s, 100)
         assert report.verdict is Preperiodicity.NOT_PREPERIODIC
         z = cyc.cyc_zero(e)
-        for _ in range(report.escape_index):
+        for _ in range(report.steps):
             z = cyc.cyc_add(cyc.cyc_pow(z, d, e), s.c)
         if e <= 2:
             radius = 1 + abs(s.c[0])
@@ -459,10 +459,7 @@ def test_mixed_escape_settles_as_undecided():
 
 
 def test_undecided_when_budget_too_small():
-    assert (
-        is_zero_preperiodic(CycSetting.make(2, 1, 1), 1)
-        is Preperiodicity.UNDECIDED
-    )
+    assert zero_orbit_report(CycSetting.make(2, 1, 1), 1).verdict is Preperiodicity.UNDECIDED
 
 
 def test_setting_parse_and_format():
