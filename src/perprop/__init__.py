@@ -65,6 +65,7 @@ from .dynamics import (
     periodic_by_image_iteration,
     power_map,
     reduce_map,
+    row_walk,
 )
 from .bounds import (
     error_term,

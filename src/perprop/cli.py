@@ -216,16 +216,16 @@ class SweepRow:
 
 def compute_row(setting: pm.CycSetting, P: rf.PrimeOfK) -> SweepRow:
     reduced = dyn.reduce_map(setting, P)
-    graph = dyn.build_graph(reduced)
-    sizes, periodic = dyn.image_sizes_and_periodic(graph, IMAGE_SIZES_SHOWN)
+    sizes, periodic = dyn.row_walk(reduced, IMAGE_SIZES_SHOWN)
+    total = P.norm + 1
     return SweepRow(
         p=P.p,
         f=P.f,
         norm=P.norm,
         wild=reduced.wild,
         periodic=periodic,
-        total=graph.size,
-        proportion=Fraction(periodic, graph.size),
+        total=total,
+        proportion=Fraction(periodic, total),
         bijective=sizes[1] == sizes[0],
         image_sizes=sizes,
     )
@@ -343,16 +343,19 @@ def cmd_bound(d: int, e: int, n: int, q_grid: str, c: str, measure: bool,
         raise UsageError("q grid entries must be >= 2")
     setting = _setting(d, e, c)  # refuses a bad -c even unmeasured
     # a measured row is bounded at the norm of the prime it measures, q^f for
-    # an inert q; every entry is resolved before anything prints
+    # an inert q; every entry is resolved before anything prints, and one
+    # past the graph cap before its primality test, which is trial division
     primes = {}
     if measure:
         for q in grid:
+            dyn.check_graph_points(q + 1)
             if not rf.is_prime(q):
                 raise UsageError(f"--measure needs prime grid entries, got {q}")
             try:
                 primes[q] = rf.primes_above(q, e)[0]
             except rf.RamifiedPrimeError as exc:
                 raise UsageError(f"--q-grid entry {q} ramifies in Q(zeta_{e})") from exc
+            dyn.check_graph_points(primes[q].norm + 1)
     A = pm.galois_A(d, e)
     A_order = len(A)
     B_order = A_order * wreath_order(d, d, n)
@@ -376,8 +379,8 @@ def cmd_bound(d: int, e: int, n: int, q_grid: str, c: str, measure: bool,
         bound = A_order * fpp_up + err
         line = f"{label} bound={fmt6(bound)} error_term={fmt6(err)}"
         if measure:
-            graph = dyn.build_graph(dyn.reduce_map(setting, P))
-            measured = Fraction(dyn.image_size_at(graph, n), graph.size)
+            sizes, _ = dyn.row_walk(dyn.reduce_map(setting, P), n + 1)
+            measured = Fraction(sizes[min(n, len(sizes) - 1)], sizes[0])
             ok = measured <= bound
             line += f" measured={fmt6(measured)} {'ok' if ok else 'VIOLATION'}"
             if not ok:

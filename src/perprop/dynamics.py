@@ -24,6 +24,21 @@ rational map (prime fields only, good reduction checked by a Euclidean gcd
 plus degree comparison) is an array Horner evaluation of numerator and
 denominator with a Fermat-power inverse.  Forward images are iterated with a
 boolean mask over the points, so no step sorts.
+
+A sweep row of x^d + c with gcd(d, q-1) = 2 (d even, q odd) is walked on the
+quotient F_q/{+1, -1} (row_walk).  x^d is constant on each class {t, -t}, so
+with R one representative per class (0 its own class) and h(s) = rep(s^d + c)
+on R, the (q+1)/2 points of R carry the row: |f^j(X)| = |h^(j-1)(R)| + 1 for
+j >= 1, the +1 being infinity, and the periodic count of f is that of h plus
+1 (two periodic points never share an image, so no class holds two).  The
+image sizes need the kernel of x -> x^d on F_q^* to be exactly {+1, -1},
+that is gcd(d, q-1) = 2: then x^d + c is injective on R, and f^j(X) is the
+image of h^(j-1)(R).  With a larger gcd the classes of +-1 merge further
+under x^d and the sizes would differ.  The representative of {t, -t} is the
+one whose top nonzero base-p digit is at most (p-1)/2, so R is 0 together
+with the index ranges [p^j, (p+1)/2 p^j), and the index i of a
+representative with top digit in place j sits at position i - (p^j - 1)/2
+of R.  Over F_p that is min(t, p - t) at position t.
 """
 
 from __future__ import annotations
@@ -31,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
+from math import gcd
 from typing import Iterator, Optional
 
 import numpy as np
@@ -136,14 +152,19 @@ def _check_int64(field: ResidueField) -> None:
         )
 
 
+def check_graph_points(size: int) -> None:
+    """Raise ResourceCapError if a graph of size points is past the cap."""
+    if size > MEMORY_CAP_POINTS:
+        raise ResourceCapError(f"graph needs {size} points, cap is {MEMORY_CAP_POINTS}")
+
+
 def build_graph(m: ReducedMap) -> FunctionalGraph:
     """Evaluate the map at every point of P^1(F_q), of at most
     MEMORY_CAP_POINTS points."""
     F = m.field
     q = F.q
     size = q + 1
-    if size > MEMORY_CAP_POINTS:
-        raise ResourceCapError(f"graph needs {size} points, cap is {MEMORY_CAP_POINTS}")
+    check_graph_points(size)
     _check_int64(F)
     succ = np.empty(size, dtype=np.int64)
     for start in range(0, q, BLOCK):
@@ -165,6 +186,44 @@ def _finite_successors(m: ReducedMap, idx: np.ndarray) -> np.ndarray:
     out = _indices(F, mul(top, power(bottom, F.q - 2, mul, one)))  # q - 2 = 0 over F_2
     out[~bottom.any(axis=0)] = F.q  # numerator nonzero there by good reduction
     return out
+
+
+def row_walk(m: ReducedMap, max_entries: int) -> tuple[tuple[int, ...], int]:
+    """image_sizes_and_periodic(build_graph(m), max_entries), walking the
+    (q+1)/2 classes of F_q/{+1, -1} instead when m is x^d + c with
+    gcd(d, q-1) = 2 (see the module docstring).  Refuses the same fields as
+    build_graph."""
+    F = m.field
+    if m.kind != "power_plus_c" or gcd(m.degree, F.q - 1) != 2:
+        return image_sizes_and_periodic(build_graph(m), max_entries)
+    check_graph_points(F.q + 1)
+    _check_int64(F)
+    half = (F.p + 1) // 2
+    reps = np.concatenate([np.zeros(1, dtype=np.int64)] + [
+        np.arange(F.p**j, half * F.p**j, dtype=np.int64) for j in range(F.f)])
+    succ = np.empty(reps.size, dtype=np.int64)
+    for start in range(0, reps.size, BLOCK):
+        block = reps[start : start + BLOCK]
+        succ[start : start + block.size] = _class_positions(F, _finite_successors(m, block))
+    sizes, periodic = image_sizes_and_periodic(FunctionalGraph(succ), max_entries - 1)
+    shown = (F.q + 1,) + tuple(size + 1 for size in sizes)  # + 1 for infinity
+    return shown[: max(max_entries, 1)], periodic + 1
+
+
+def _class_positions(F: ResidueField, idx: np.ndarray) -> np.ndarray:
+    """The position in row_walk's representatives of the class {t, -t} of
+    each element index."""
+    p = F.p
+    if F.f == 1:
+        return np.minimum(idx, p - idx)
+    x = _digits(F, idx)
+    top, offset = x[0], np.zeros(idx.size, dtype=np.int64)
+    for j in range(1, F.f):
+        nonzero = x[j] != 0
+        top = np.where(nonzero, x[j], top)
+        offset = np.where(nonzero, (p**j - 1) // 2, offset)
+    rep = np.where(top > (p - 1) // 2, _indices(F, (p - x) % p), idx)
+    return rep - offset
 
 
 def _infinity_successor(m: ReducedMap) -> int:

@@ -287,6 +287,33 @@ def test_bound_measure_inert_prime_uses_norm(capsys):
     )
 
 
+def test_bound_measure_refuses_an_entry_past_the_graph_cap_before_output(capsys,
+                                                                        monkeypatch):
+    code, out, err = run(capsys, "bound", "-d", "2", "-n", "1", "-q", "101,20000003",
+                         "--measure")
+    assert (code, out) == (5, "")
+    assert err == "resource cap: graph needs 20000004 points, cap is 20000000\n"
+    # refused before the primality test, which would trial-divide for minutes
+    def no_trial_division(n):
+        raise AssertionError(f"is_prime({n}) called")
+
+    monkeypatch.setattr(residue_fields, "is_prime", no_trial_division)
+    code, out, err = run(capsys, "bound", "-d", "2", "-n", "1", "-q",
+                         "1000000000000000003", "--measure")
+    assert (code, out) == (5, "")
+    assert err == ("resource cap: graph needs 1000000000000000004 points, "
+                   "cap is 20000000\n")
+
+
+def test_bound_measure_refuses_an_inert_norm_past_the_graph_cap(capsys, monkeypatch):
+    # q = 5 is inert in Q(zeta_3): q + 1 = 6 fits a cap of 20, norm + 1 = 26 does not
+    monkeypatch.setattr(dynamics, "MEMORY_CAP_POINTS", 20)
+    code, out, err = run(capsys, "bound", "-d", "2", "-e", "3", "-n", "1", "-q", "5",
+                         "--measure")
+    assert (code, out) == (5, "")
+    assert err == "resource cap: graph needs 26 points, cap is 20\n"
+
+
 def test_bound_exact_classes(capsys):
     code, out, _ = run(capsys, "bound", "-d", "3", "-e", "1", "-n", "1",
                        "-q", "101", "--classes", "exact")

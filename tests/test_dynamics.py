@@ -15,6 +15,7 @@ from perprop.dynamics import (
     periodic_by_image_iteration,
     power_map,
     reduce_map,
+    row_walk,
 )
 from perprop.perms import ResourceCapError
 from perprop.powermap import CycSetting
@@ -285,6 +286,22 @@ def test_memory_cap(monkeypatch):
         build_graph(power_map(field, 2, (1,)))
 
 
+def test_folded_walk_refuses_what_build_graph_refuses(monkeypatch):
+    from perprop import dynamics
+
+    m = power_map(make_field(5, 1), 2, (1,))  # gcd(2, 4) = 2: folded
+    monkeypatch.setattr(dynamics, "MEMORY_CAP_POINTS", 4)
+    with pytest.raises(ResourceCapError) as built:
+        build_graph(m)
+    with pytest.raises(ResourceCapError) as walked:
+        row_walk(m, 8)
+    assert str(walked.value) == str(built.value)
+    # past the int64 guard, refused before anything is allocated
+    monkeypatch.setattr(dynamics, "MEMORY_CAP_POINTS", 10**10)
+    with pytest.raises(ResourceCapError, match="overflow int64"):
+        row_walk(power_map(ResidueField(3_037_000_501, 1, (0, 1)), 2, (1,)), 8)
+
+
 def test_int64_guard():
     # the guard alone, so that a missing guard allocates nothing: a product
     # of two coefficients reaches (p-1)^2, a convolution sum f (p-1)^2
@@ -430,3 +447,29 @@ def test_row_pass_matches_former_passes():
                 sizes, periodic, sizes[1] == sizes[0]), (d, P)
             assert row.bijective == bijective
     assert doubled > 100  # walks cut at 8 images, counted by doubling
+
+
+def test_folded_walk_matches_the_full_graph():
+    # every prime of norm <= 3000 over Q(zeta_e), e in {1, 3, 4, 5, 8}: the
+    # row walk equals the full-graph walk, folded or not
+    kinds = set()
+    for e in (1, 3, 4, 5, 8):
+        primes = list(prime_stream(e, 3000))
+        for d in (2, 3, 4, 6):
+            for c in (1, "1+z"):
+                setting = CycSetting.make(d, e, c)
+                for P in primes:
+                    m = reduce_map(setting, P)
+                    k = gcd(d, P.norm - 1)
+                    kinds.add(f"folded f={P.f}" if k == 2 else f"k={k}")
+                    kinds.add("p=2" if P.p == 2 else "wild" if m.wild else "tame")
+                    want = image_sizes_and_periodic(build_graph(m), 8)
+                    assert row_walk(m, 8) == want, (d, e, c, P)
+    assert {"folded f=1", "folded f=2", "folded f=4", "k=1", "k=3", "k=4", "k=6",
+            "p=2", "wild"} <= kinds
+    # short walks keep their length, and the stable size when it comes first
+    for max_entries in (1, 2, 3):
+        for d, p in ((2, 5), (2, 7), (4, 7), (6, 11)):
+            m = power_map(make_field(p, 1), d, (1,))
+            want = image_sizes_and_periodic(build_graph(m), max_entries)
+            assert row_walk(m, max_entries) == want, (max_entries, d, p)
