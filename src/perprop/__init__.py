@@ -24,7 +24,6 @@ from .indicatrix import (
     IndicatrixPoly,
     IntervalRational,
     PrecisionExhaustedError,
-    compose,
     derivative_at_one,
     epsilon_index,
     indicatrix_of,

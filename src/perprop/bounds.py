@@ -35,7 +35,8 @@ def sqrt_upper(x, bits: int = SQRT_BITS) -> Fraction:
 
 def sqrt_lower(x, bits: int = SQRT_BITS) -> Fraction:
     """Rational lower bound on sqrt(x) for an int or Fraction x, within
-    2^-bits; 0 when x < 0, as a lower end of an enclosure may be."""
+    2^-bits; 0 when x < 0, as a lower end of an enclosure may be.  It stays as
+    the reference of the Fraction-oracle radius tests."""
     x = Fraction(x)
     if x < 0:
         return Fraction(0)

@@ -113,7 +113,8 @@ class Option:
 
 
 DEGREE = Option(("-d",), int, REQUIRED, 2, "degree d of x^d + c")
-# fpp and bound iterate coset indicatrices of degree up to d by dense Horner
+# fpp and bound enumerate the O(d) multipliers of galois_A and step exact
+# binomials 1 - 1/g + x^g/g with g up to d
 CAPPED_DEGREE = replace(DEGREE, at_most=DEGREE_CAP)
 CONDUCTOR = Option(("-e",), int, 1, 1, "conductor e of the base field Q(zeta_e)")
 LEVEL = Option(("-n",), int, 1, 1, "level n of the iterated extension")
@@ -317,11 +318,10 @@ def cmd_wreathcheck(base: str, n: int) -> int:
     size = wreath_order(len(g), g.degree, n)
     print(f"enumerating [{base}]^{n}: {size} permutations of degree {g.degree ** n}")
     brute = fpp(iterated_wreath(g, n))
-    phi = ind.indicatrix_of(g)
-    value = Fraction(0)
-    for _ in range(n):
-        value = ind.value_at(phi, value)
-    recursion = 1 - value
+    iv = ind.iterate_at_zero(ind.indicatrix_of(g), n)
+    if iv.lo != iv.hi:  # every level the enumeration cap admits iterates exactly
+        raise RuntimeError(f"inexact recursion enclosure [{iv.lo}, {iv.hi}]")
+    recursion = 1 - iv.lo
     print(f"brute-force FPP = {frac_str(brute)}")
     print(f"recursion  FPP = {frac_str(recursion)}")
     if brute == recursion:

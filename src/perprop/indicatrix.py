@@ -5,7 +5,9 @@ polynomial of the fixed-point count: coefficient k is the proportion of
 elements with exactly k fixed points.  Its constant term is the proportion of
 fixed-point-free elements, so 1 - constant term is the fixed-point proportion
 of the set, and iterating the polynomial at 0 tracks the fixed-point
-proportion of iterated wreath-product cosets.
+proportion of iterated wreath-product cosets.  A polynomial is stored as its
+nonzero terms, and every evaluation runs Horner over those terms with one
+power per gap, so the binomial 1 - 1/g + x^g/g of a coset costs one power.
 
 One driver, `_iterates`, serves iterate_at_zero and epsilon_index.  It is
 exact in Fractions while denominators stay below a bit cap (iterating a degree-d
@@ -31,7 +33,6 @@ ENCLOSURE_PRECISION = 128
 WORKING_PRECISION = 256
 MAX_PRECISION = 4096
 MAX_ITERATION_STEPS = 200_000
-COMPOSE_DEGREE_CAP = 64
 
 
 class PrecisionExhaustedError(Exception):
@@ -66,37 +67,26 @@ class IntervalRational:
         if self.lo > self.hi:
             raise ValueError("interval with lo > hi")
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def __contains__(self, x) -> bool:
-        return self.lo <= Fraction(x) <= self.hi
-
 
 @dataclass(frozen=True)
 class IndicatrixPoly:
     """Probability generating polynomial of fixed-point counts.
 
-    coeffs[k] = Prob(count = k); all coefficients nonnegative, summing to 1.
-    Trailing zeros are trimmed but the constant term is always present.
+    terms holds the pairs (k, Prob(count = k)) whose coefficient is nonzero,
+    k ascending; the coefficients are positive and sum to 1.  It is built
+    from a mapping k -> coefficient (or such pairs), and zeros are dropped.
     """
 
-    coeffs: tuple[Fraction, ...]
+    terms: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self):
-        cs = tuple(Fraction(c) for c in self.coeffs)
-        while len(cs) > 1 and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
-        if any(c < 0 for c in self.coeffs):
-            raise ValueError("negative coefficient in indicatrix")
-        if sum(self.coeffs) != 1:
+        terms = tuple(sorted((int(k), Fraction(c))
+                             for k, c in dict(self.terms).items() if c != 0))
+        object.__setattr__(self, "terms", terms)
+        if any(k < 0 or c < 0 for k, c in terms):
+            raise ValueError("negative exponent or coefficient in indicatrix")
+        if sum(c for _, c in terms) != 1:
             raise ValueError("indicatrix coefficients must sum to 1")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def __repr__(self) -> str:
         return f"IndicatrixPoly({to_text(self)!r})"
@@ -104,64 +94,54 @@ class IndicatrixPoly:
 
 def indicatrix_of(s: PermSet) -> IndicatrixPoly:
     """Indicatrix of a permutation set: coefficient k counts trace-k elements."""
-    counts = np.bincount(s.traces(), minlength=s.degree + 1)
-    return IndicatrixPoly(tuple(Fraction(int(c), len(s)) for c in counts))
+    counts = np.bincount(s.traces())
+    return IndicatrixPoly({int(k): Fraction(int(counts[k]), len(s))
+                           for k in np.flatnonzero(counts)})
+
+
+def _horner_plan(terms):
+    """(top, rest) for Horner over the nonzero terms with one power per gap:
+    f(x) is acc = top, then acc = acc * x**gap + c for each (gap, c) in rest,
+    ending at x^0 (with a zero constant if f(0) = 0)."""
+    if terms[0][0]:
+        terms = ((0, 0), *terms)
+    down = terms[::-1]
+    return down[0][1], [(k_up - k, c) for (k_up, _), (k, c) in zip(down, down[1:])]
 
 
 def value_at(f: IndicatrixPoly, x) -> Fraction:
-    """Exact Horner evaluation."""
+    """Exact Horner evaluation over the nonzero terms."""
     x = Fraction(x)
-    acc = Fraction(0)
-    for c in reversed(f.coeffs):
-        acc = acc * x + c
+    top, rest = _horner_plan(f.terms)
+    acc = Fraction(top)
+    for gap, c in rest:
+        acc = acc * x**gap + c
     return acc
 
 
 def derivative_at_one(f: IndicatrixPoly) -> Fraction:
-    """Sum of k * coeffs[k]; equals the mean trace of the source set."""
-    return sum((Fraction(k) * c for k, c in enumerate(f.coeffs)), Fraction(0))
-
-
-def compose(f: IndicatrixPoly, g: IndicatrixPoly) -> IndicatrixPoly:
-    """Coefficient array of f(g(x)); only for composite degree at most
-    COMPOSE_DEGREE_CAP (test use)."""
-    if f.degree * g.degree > COMPOSE_DEGREE_CAP:
-        raise ResourceCapError(
-            f"composite degree {f.degree * g.degree} exceeds {COMPOSE_DEGREE_CAP}"
-        )
-    # Horner on polynomial coefficients
-    acc = [Fraction(0)]
-    for c in reversed(f.coeffs):
-        nxt = [Fraction(0)] * (len(acc) + g.degree)
-        for i, a in enumerate(acc):
-            if a == 0:
-                continue
-            for j, b in enumerate(g.coeffs):
-                nxt[i + j] += a * b
-        while len(nxt) > 1 and nxt[-1] == 0:
-            nxt.pop()
-        nxt[0] += c
-        acc = nxt
-    return IndicatrixPoly(tuple(acc))
+    """Sum of k * coeff_k; equals the mean trace of the source set."""
+    return sum(k * c for k, c in f.terms)
 
 
 def _endpoint_step(f: IndicatrixPoly, wp: int):
     """step(lo, hi): numerators over 2^wp of f(lo/2^wp) rounded down and of
     f(hi/2^wp) rounded up to wp bits, in integers.  With D the lcm of the
-    coefficient denominators and a_k = c_k * D, 2^wp f(L/2^wp) is
-    sum a_k L^k 2^(wp(deg-k)) / (D 2^(wp(deg-1))): integer Horner, a shift, D.
+    coefficient denominators, a_k = c_k * D and deg = max(top k, 1),
+    2^wp f(L/2^wp) is sum a_k L^k 2^(wp(deg-k)) / (D 2^(wp(deg-1))): integer
+    Horner over the nonzero terms, a shift, D.
     """
-    coeffs = f.coeffs + (Fraction(0),) * (2 - len(f.coeffs))  # degree >= 1
-    D = lcm(*(c.denominator for c in coeffs))
-    shifted = [c.numerator * (D // c.denominator) << (wp * i)
-               for i, c in enumerate(reversed(coeffs))]  # a_deg first
-    shift = wp * (len(coeffs) - 2)
+    deg = max(f.terms[-1][0], 1)
+    D = lcm(*(c.denominator for _, c in f.terms))
+    top, rest = _horner_plan([(k, c.numerator * (D // c.denominator) << wp * (deg - k))
+                              for k, c in f.terms])
+    shift = wp * (deg - 1)
 
     def step(lo: int, hi: int) -> tuple[int, int]:
-        p_lo = p_hi = 0
-        for b in shifted:
-            p_lo = p_lo * lo + b
-            p_hi = p_hi * hi + b
+        p_lo = p_hi = top
+        for gap, b in rest:
+            p_lo = p_lo * lo**gap + b
+            p_hi = p_hi * hi**gap + b
         return (p_lo >> shift) // D, -(((-p_hi) >> shift) // D)
 
     return step
@@ -214,7 +194,7 @@ def epsilon_index(f: IndicatrixPoly, epsilon) -> int | _Diverges:
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
-    if f.coeffs[0] == 0:
+    if f.terms[0][0] > 0:  # no constant term
         return DIVERGES
     eps_num, eps_den = epsilon.numerator, epsilon.denominator
     wp = WORKING_PRECISION
@@ -247,7 +227,7 @@ def _index_estimate(f: IndicatrixPoly, epsilon: Fraction) -> str:
     slope = derivative_at_one(f)
     if slope != 1:
         return f"phi'(1) = {slope}, not 1"
-    curvature = sum(k * (k - 1) * c for k, c in enumerate(f.coeffs))
+    curvature = sum(k * (k - 1) * c for k, c in f.terms)
     return (
         f"estimated index {ceil(2 / (curvature * epsilon))}"
         " from the parabolic asymptotic 2/(phi''(1)*epsilon)"
@@ -256,14 +236,5 @@ def _index_estimate(f: IndicatrixPoly, epsilon: Fraction) -> str:
 
 def to_text(f: IndicatrixPoly) -> str:
     """Text form like "2/3 + 1/3*x^3"."""
-    parts = []
-    for k, c in enumerate(f.coeffs):
-        if c == 0 and not (k == 0 and len(f.coeffs) == 1):
-            continue
-        if k == 0:
-            parts.append(str(c))
-        elif k == 1:
-            parts.append(f"{c}*x")
-        else:
-            parts.append(f"{c}*x^{k}")
-    return " + ".join(parts)
+    return " + ".join(str(c) if k == 0 else f"{c}*x" if k == 1 else f"{c}*x^{k}"
+                      for k, c in f.terms)

@@ -170,11 +170,6 @@ class PermSet:
     def degree(self) -> int:
         return self.images.shape[1]
 
-    @property
-    def elements(self) -> tuple[Permutation, ...]:
-        """The elements as Permutations, in row order (small sets)."""
-        return tuple(self)
-
     def __len__(self) -> int:
         return len(self.images)
 

@@ -156,7 +156,7 @@ def coset_indicatrix(m: int, d: int) -> IndicatrixPoly:
     if gcd(m, d) != 1:
         raise ValueError(f"multiplier {m} not a unit mod {d}")
     g = gcd(m - 1, d)
-    return IndicatrixPoly((1 - Fraction(1, g), *[0] * (g - 1), Fraction(1, g)))
+    return IndicatrixPoly({0: 1 - Fraction(1, g), g: Fraction(1, g)})
 
 
 @dataclass(frozen=True)

@@ -125,7 +125,7 @@ def test_criterion_03_dichotomy():
         indicatrix_of(data.coset_permset(1)),
     ]
     for phi in positive_cases:
-        assert phi.coeffs[0] > 0
+        assert value_at(phi, 0) > 0
         prev_hi = F(-1)
         for n in range(1, 31):
             iv = iterate_at_zero(phi, n)
@@ -135,7 +135,7 @@ def test_criterion_03_dichotomy():
             assert isinstance(epsilon_index(phi, eps), int)
     all_fixed = indicatrix_of(data.coset_permset(2))  # m=2 coset of x^3 + c
     assert coset_status(2, 3) is CosetStatus.ALL_HAVE_FIXED_POINTS
-    assert all_fixed.coeffs[0] == 0
+    assert value_at(all_fixed, 0) == 0
     for eps in (F(1, 2), F(1, 10), F(1, 100)):
         assert epsilon_index(all_fixed, eps) is DIVERGES
     print("ACCEPTANCE 3 PASS: iterates strictly increase and the epsilon index "

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from perprop import dynamics, residue_fields
+from perprop import dynamics, indicatrix, residue_fields
 from perprop.cli import COMMANDS, _bool_conv, fmt6, main
 
 GOLDEN_EXACT_GROUP = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "exact_group.json"
@@ -212,6 +212,20 @@ def test_wreathcheck_pass(capsys):
         code, out, _ = run(capsys, "wreathcheck", base, str(n))
         assert code == 0
         assert "PASS" in out
+
+
+def test_wreathcheck_inexact_recursion_is_an_internal_error(monkeypatch):
+    # within the enumeration cap the recursion iterates exactly, so a wider
+    # enclosure is a fault and must not read as PASS
+    exact = indicatrix.iterate_at_zero
+
+    def widened(phi, n):
+        iv = exact(phi, n)
+        return indicatrix.IntervalRational(iv.lo, iv.hi + F(1, 2**200))
+
+    monkeypatch.setattr(indicatrix, "iterate_at_zero", widened)
+    with pytest.raises(RuntimeError, match="inexact recursion enclosure"):
+        main(["wreathcheck", "C2", "2"])
 
 
 def test_wreathcheck_cap_exit_5(capsys):
