@@ -8,7 +8,8 @@ Subcommands:
   bound        proportion bound on a grid of norms, optionally vs measurement
 
 Exit codes: 0 success, 2 usage, 3 hypothesis failure, 4 I/O failure,
-5 resource cap.  Proportions print with 6 decimal places (round-half-even);
+5 resource cap, 6 internal error (a fault in perprop, reported with its
+traceback).  Proportions print with 6 decimal places (round-half-even);
 --exact (fpp and sweep) switches to p/q.  Each option is declared once, in
 COMMANDS; main takes its value from the command line, else the --config
 key=value file (key norm_bound for --norm-bound, n for N), else its default.
@@ -21,6 +22,7 @@ import argparse
 import functools
 import re
 import sys
+import traceback
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -42,6 +44,7 @@ EXIT_USAGE = 2
 EXIT_HYPOTHESIS = 3
 EXIT_IO = 4
 EXIT_CAP = 5
+EXIT_INTERNAL = 6
 
 CSV_HEADER = "p,f,norm,wild,periodic,total,proportion,bijective,image_sizes"
 IMAGE_SIZES_SHOWN = 8
@@ -66,16 +69,20 @@ def frac_str(fr: Fraction) -> str:
 
 
 def read_config(path: str) -> dict[str, str]:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file is not UTF-8 text: {exc}") from None
     cfg: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"bad config line (want key=value): {line!r}")
-            key, value = line.split("=", 1)
-            cfg[key.strip()] = value.strip()
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"bad config line (want key=value): {line!r}")
+        key, value = line.split("=", 1)
+        cfg[key.strip()] = value.strip()
     return cfg
 
 
@@ -492,12 +499,16 @@ def main(argv=None) -> int:
     except ind.PrecisionExhaustedError as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:  # every input fault is one of the above
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -168,9 +168,14 @@ def _iterates(f: IndicatrixPoly, wp: int):
 def iterate_at_zero(f: IndicatrixPoly, n: int) -> IntervalRational:
     """Enclosure of the n-th iterate of f at 0, of width at most
     2^(2 - ENCLOSURE_PRECISION) (2^-126): the n-th enclosure of _iterates,
-    doubling the working precision until it is that narrow."""
+    doubling the working precision until it is that narrow.  An n past
+    MAX_ITERATION_STEPS is a ResourceCapError, raised before any step."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > MAX_ITERATION_STEPS:
+        raise ResourceCapError(
+            f"level {n} needs {n} iteration steps, cap is {MAX_ITERATION_STEPS}"
+        )
     wp = max(WORKING_PRECISION, ENCLOSURE_PRECISION + 64 + n.bit_length())
     while wp <= MAX_PRECISION:
         lo, hi, den = next(islice(_iterates(f, wp), n - 1, None))

@@ -11,7 +11,11 @@ proportion of the reduced maps always has liminf 0; it tends to 0 when every
 multiplier coset contains a fixed-point-free element, and has limsup 1 when
 some multiplier's whole coset fixes points.  All of this is conditional on
 the critical orbit of 0 being infinite, which is tested exactly on the
-cyclotomic integers with a certified escape-radius argument.
+cyclotomic integers with a certified escape-radius argument.  An orbit that
+grows past ORBIT_BIT_BUDGET bits is settled as undecided; the iterate that
+would cross the budget is usually certified to do so from the 64 top bits of
+the one before it (a norm bound on the rounding error of its d-th power), so
+that power, the largest of the orbit, is never computed.
 """
 
 from __future__ import annotations
@@ -193,14 +197,17 @@ def classify_regime(s: CycSetting, preper: Preperiodicity) -> RegimeReport:
 _SLOW_BITS = (64, 128, 256, 512)
 # Orbits escaping in one embedding while bounded in another never satisfy the
 # all-embeddings escape criterion, yet their coefficients double each step;
-# past this total bit size the verdict is settled as undecided.
+# past this total bit size the verdict is settled as undecided.  The iterate
+# that crosses it is usually certified over budget from the _TOP_BITS top bits
+# of the one before (_power_bits_lower_bound), and is then never computed.
 ORBIT_BIT_BUDGET = 250_000
+_TOP_BITS = 64
 
 
 @dataclass(frozen=True)
 class OrbitReport:
     verdict: Preperiodicity
-    steps: int  # iterates computed; an escape is certified at the last one
+    steps: int  # index of the last iterate reached; an escape is certified there
     repeat_index: int | None = None  # earlier index the repeat collided with
 
 
@@ -265,8 +272,45 @@ def _exceeds_radius(z, c, e: int) -> bool:
     return False
 
 
+@lru_cache(maxsize=None)
+def _product_norm_factor(e: int) -> int:
+    """K_e, the largest L1 norm of x^k mod Phi_e over k <= 2 phi(e) - 2."""
+    return max(sum(map(abs, cyc.reduce_mod_cyclotomic([0] * k + [1], e)))
+               for k in range(2 * cyc.euler_phi(e) - 1))
+
+
+def _power_bits_lower_bound(z, d: int, c, e: int) -> int:
+    """A lower bound on the total coefficient bit length of z^d + c, from the
+    _TOP_BITS top bits of z; 0 when no coefficient of z is longer than that.
+
+    Let ||.|| be the L1 norm on the power basis and phi = phi(e).  With
+    s = (largest bit length) - _TOP_BITS and t = z >> s (floor),
+    z = 2^s (t + rho) with every rho_i in [0, 1), so ||rho|| < phi.  A
+    product of reduced a and b is the sum of a_i b_j (x^(i+j) mod Phi_e) with
+    i + j <= 2 phi - 2, so ||ab mod Phi_e|| <= K ||a|| ||b||, K = K_e >= 1.
+    Every term of the binomial expansion of (t + rho)^d - t^d is a product of
+    d factors, d - 1 products, so its norm is at most
+    E = K^(d-1) ((||t|| + phi)^d - ||t||^d), a bound on every coefficient of
+    (t + rho)^d - t^d as well.  As z^d = 2^(sd) (t + rho)^d, each coefficient
+    has |(z^d + c)_i| >= 2^(sd) (|(t^d)_i| - E) - |c_i|, with t^d exact, and
+    bit length is monotone on nonnegative integers.
+    """
+    s = max(abs(x).bit_length() for x in z) - _TOP_BITS
+    if s <= 0:
+        return 0
+    t = [x >> s for x in z]
+    norm = sum(map(abs, t))
+    E = _product_norm_factor(e) ** (d - 1) * ((norm + len(z)) ** d - norm**d)
+    return sum(max(((abs(T) - E) << s * d) - abs(ci), 0).bit_length()
+               for T, ci in zip(cyc.cyc_pow(t, d, e), c))
+
+
 def zero_orbit_report(s: CycSetting, max_iter: int) -> OrbitReport:
-    """Iterate 0 under x -> x^d + c exactly; detect a repeat or certify escape."""
+    """Iterate 0 under x -> x^d + c exactly; detect a repeat or certify escape.
+
+    An iterate certified over ORBIT_BIT_BUDGET before it is computed settles
+    the orbit as undecided at its index, as the exact iterate would: every
+    earlier iterate was within the budget, so it cannot repeat one."""
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     zero = cyc.cyc_zero(s.e)
@@ -275,6 +319,8 @@ def zero_orbit_report(s: CycSetting, max_iter: int) -> OrbitReport:
     seen = {zero: 0}
     z = zero
     for step in range(1, max_iter + 1):
+        if _power_bits_lower_bound(z, s.d, s.c, s.e) > ORBIT_BIT_BUDGET:
+            return OrbitReport(Preperiodicity.UNDECIDED, steps=step)
         z = cyc.cyc_add(cyc.cyc_pow(z, s.d, s.e), s.c)
         if z in seen:
             return OrbitReport(

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from perprop import dynamics, indicatrix, residue_fields
+from perprop import dynamics, indicatrix, powermap, residue_fields
 from perprop.cli import COMMANDS, _bool_conv, fmt6, main
 
 GOLDEN_EXACT_GROUP = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "exact_group.json"
@@ -214,7 +214,7 @@ def test_wreathcheck_pass(capsys):
         assert "PASS" in out
 
 
-def test_wreathcheck_inexact_recursion_is_an_internal_error(monkeypatch):
+def test_wreathcheck_inexact_recursion_is_an_internal_error(capsys, monkeypatch):
     # within the enumeration cap the recursion iterates exactly, so a wider
     # enclosure is a fault and must not read as PASS
     exact = indicatrix.iterate_at_zero
@@ -224,8 +224,24 @@ def test_wreathcheck_inexact_recursion_is_an_internal_error(monkeypatch):
         return indicatrix.IntervalRational(iv.lo, iv.hi + F(1, 2**200))
 
     monkeypatch.setattr(indicatrix, "iterate_at_zero", widened)
-    with pytest.raises(RuntimeError, match="inexact recursion enclosure"):
-        main(["wreathcheck", "C2", "2"])
+    code, out, err = run(capsys, "wreathcheck", "C2", "2")
+    assert code == 6
+    assert "PASS" not in out
+    assert err.splitlines()[-1].startswith(
+        "internal error: RuntimeError: inexact recursion enclosure")
+
+
+def test_a_value_error_inside_a_command_is_an_internal_error(capsys, monkeypatch):
+    # only UsageError reads as a usage error; a fault inside perprop exits 6
+    # with its traceback, whatever its type
+    def broken(setting, max_iter):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(powermap, "zero_orbit_report", broken)
+    code, out, err = run(capsys, "regime", "-d", "2", "-c=1")
+    assert (code, out) == (6, "")
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.splitlines()[-1] == "internal error: ValueError: internal bug"
 
 
 def test_wreathcheck_cap_exit_5(capsys):
@@ -357,6 +373,14 @@ def test_config_key_the_command_does_not_declare_is_refused(tmp_path, capsys, ar
     cfg.write_text(config)
     code, out, err = run(capsys, *argv, "--config", str(cfg))
     assert (code, out, err) == (2, "", f"usage error: unknown config key {key!r} for {argv[0]}\n")
+
+
+def test_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"d=\xff\n")
+    code, out, err = run(capsys, "regime", "-d", "2", "-c=1", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: config file is not UTF-8 text: ")
 
 
 def test_config_file_is_reread_on_every_call(tmp_path, capsys):
@@ -532,6 +556,16 @@ def test_epsilon_iteration_cap_is_a_resource_cap(capsys, monkeypatch):
     # the parabolic estimate 2/(phi''(1)*eps) for phi = 1/2 + 1/2*x^2
     assert "20000" in err
     assert "transitive group?" not in err
+
+
+def test_fpp_level_past_the_step_cap_is_refused_before_output(capsys):
+    # -n beyond indicatrix.MAX_ITERATION_STEPS would step the indicatrix for
+    # hours; it is refused before the first coset prints
+    n = indicatrix.MAX_ITERATION_STEPS + 1
+    code, out, err = run(capsys, "fpp", "-d", "2", "-n", str(n))
+    assert (code, out) == (5, "")
+    assert err == (f"resource cap: level {n} needs {n} iteration steps, "
+                   f"cap is {indicatrix.MAX_ITERATION_STEPS}\n")
 
 
 def test_exact_classes_over_cap_is_a_resource_cap(capsys):

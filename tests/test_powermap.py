@@ -8,6 +8,8 @@ from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perprop import cyclotomic as cyc
 from perprop import powermap
@@ -24,10 +26,14 @@ from perprop.perms import (
 )
 from perprop.powermap import (
     _SLOW_BITS,
+    ORBIT_BIT_BUDGET,
     CosetStatus,
     CycSetting,
+    OrbitReport,
     Preperiodicity,
     _exceeds_radius,
+    _power_bits_lower_bound,
+    _product_norm_factor,
     _radius_bounds,
     _radius_rung,
     b_n_permset,
@@ -460,6 +466,102 @@ def test_mixed_escape_settles_as_undecided():
 
 def test_undecided_when_budget_too_small():
     assert zero_orbit_report(CycSetting.make(2, 1, 1), 1).verdict is Preperiodicity.UNDECIDED
+
+
+def test_product_norm_factor_examples():
+    # x^2 = -1 - x mod Phi_3, x^4 = -1 - x - x^2 - x^3 mod Phi_5 and x^6 the
+    # like mod Phi_7; x^2 = -1 mod Phi_4 and x^4 = -1 mod Phi_8
+    assert [_product_norm_factor(e) for e in (1, 3, 4, 5, 7, 8)] == [1, 2, 1, 4, 6, 1]
+
+
+@st.composite
+def _power_bits_cases(draw):
+    """(z, d, c, e) with z = t 2^s + r: t of about 64 bits, either independent
+    of mixed signs or +-T plus small offsets, whose powers cancel in some
+    coefficients (e = 4: (T + Ti)^2 = 2T^2 i); r often at either end of
+    [0, 2^s), and c either up to the size of z^d or cancelling some of it."""
+    e = draw(st.sampled_from((1, 3, 4, 5, 7, 8)))
+    n = cyc.euler_phi(e)
+    d = draw(st.integers(2, 5))
+    s = draw(st.integers(0, 3000))
+    if draw(st.booleans()):
+        t = draw(st.lists(st.integers(-(1 << 64), 1 << 64), min_size=n, max_size=n))
+    else:
+        T = draw(st.integers(1 << 63, 1 << 64))
+        t = [draw(st.sampled_from((-T, T))) + draw(st.integers(-16, 16)) for _ in range(n)]
+    low = st.sampled_from((0, (1 << s) - 1)) | st.integers(0, (1 << s) - 1)
+    z = tuple((x << s) + draw(low) for x in t)
+    if draw(st.booleans()):
+        c_bits = draw(st.integers(0, d * (s + 64) + 8))
+        c = draw(st.lists(st.integers(-(1 << c_bits), 1 << c_bits), min_size=n, max_size=n))
+    else:
+        c = [-(x >> draw(st.integers(0, 4))) + draw(st.integers(-16, 16))
+             for x in cyc.cyc_pow(z, d, e)]
+    return z, d, tuple(c), e
+
+
+@given(_power_bits_cases())
+@settings(max_examples=300, deadline=None)
+def test_power_bits_lower_bound_is_a_lower_bound(case):
+    z, d, c, e = case
+    exact = sum(abs(x).bit_length() for x in cyc.cyc_add(cyc.cyc_pow(z, d, e), c))
+    assert _power_bits_lower_bound(z, d, c, e) <= exact
+
+
+def test_power_bits_lower_bound_is_close_on_an_undecided_orbit():
+    # the step of d=3 e=8 c=2+z-z^2-2z^3 that crosses the budget: the bound
+    # from 64 top bits is within 8 bits per coefficient of the exact sum
+    # (equal to it, in fact)
+    s = CycSetting.make(3, 8, "2+z-z^2-2z^3")
+    z = cyc.cyc_zero(s.e)
+    for _ in range(10):
+        z = cyc.cyc_add(cyc.cyc_pow(z, s.d, s.e), s.c)
+    exact = sum(abs(x).bit_length() for x in cyc.cyc_add(cyc.cyc_pow(z, s.d, s.e), s.c))
+    assert ORBIT_BIT_BUDGET < exact - 8 * len(z) <= _power_bits_lower_bound(z, s.d, s.c, s.e) <= exact
+
+
+def _reference_orbit_report(s, max_iter):
+    """Oracle: the orbit loop without the over-budget certificate, which
+    computes every iterate, the one past ORBIT_BIT_BUDGET included."""
+    zero = cyc.cyc_zero(s.e)
+    if s.c == zero:
+        return OrbitReport(Preperiodicity.PREPERIODIC, steps=0, repeat_index=0)
+    seen = {zero: 0}
+    z = zero
+    for step in range(1, max_iter + 1):
+        z = cyc.cyc_add(cyc.cyc_pow(z, s.d, s.e), s.c)
+        if z in seen:
+            return OrbitReport(Preperiodicity.PREPERIODIC, steps=step, repeat_index=seen[z])
+        seen[z] = step
+        if sum(abs(x).bit_length() for x in z) > ORBIT_BIT_BUDGET:
+            return OrbitReport(Preperiodicity.UNDECIDED, steps=step)
+        if _exceeds_radius(z, s.c, s.e):
+            return OrbitReport(Preperiodicity.NOT_PREPERIODIC, steps=step)
+    return OrbitReport(Preperiodicity.UNDECIDED, steps=max_iter)
+
+
+def test_orbit_report_matches_the_loop_without_the_certificate(monkeypatch):
+    # d in 2..5, e in {5, 8}, c in [-1, 1]^4: 648 settings, 236 undecided,
+    # every one of them at the budget and settled by the certificate
+    bound = powermap._power_bits_lower_bound
+    certified = 0
+
+    def counted(z, d, c, e):
+        nonlocal certified
+        got = bound(z, d, c, e)
+        certified += got > ORBIT_BIT_BUDGET
+        return got
+
+    monkeypatch.setattr(powermap, "_power_bits_lower_bound", counted)
+    verdicts = {verdict: 0 for verdict in Preperiodicity}
+    grid = itertools.product(range(2, 6), (5, 8), itertools.product((-1, 0, 1), repeat=4))
+    for d, e, c in grid:
+        s = CycSetting.make(d, e, c)
+        expected = _reference_orbit_report(s, 500)
+        assert zero_orbit_report(s, 500) == expected, s
+        verdicts[expected.verdict] += 1
+    assert sum(verdicts.values()) == 648
+    assert verdicts[Preperiodicity.UNDECIDED] == certified == 236
 
 
 def test_setting_parse_and_format():
