@@ -135,10 +135,13 @@ EXACT = Option(("--exact",), _bool_conv, False,
 def coset_fpp_enclosures(d: int, e: int, n: int):
     """Yield (m, phi, lo, hi) for each multiplier m of the model group over
     Q(zeta_e): phi is the indicatrix of m's level-1 coset and [lo, hi]
-    encloses 1 - phi^n(0), the fixed-point proportion of its n-th iterate."""
+    encloses 1 - phi^n(0), the fixed-point proportion of its n-th iterate.
+    phi depends on m only through gcd(m - 1, d), so each distinct phi is
+    iterated once."""
+    iterate = functools.cache(lambda phi: ind.iterate_at_zero(phi, n))
     for m in pm.galois_A(d, e):
         phi = pm.coset_indicatrix(m, d)
-        iv = ind.iterate_at_zero(phi, n)
+        iv = iterate(phi)
         yield m, phi, 1 - iv.hi, 1 - iv.lo
 
 
@@ -156,6 +159,7 @@ def _show_enclosure(lo: Fraction, hi: Fraction, exact_form: bool) -> str:
 def cmd_fpp(d: int, e: int, n: int, epsilon: Fraction | None, exact: bool) -> int:
     if epsilon is not None and not 0 < epsilon < 1:
         raise UsageError("epsilon must be in (0, 1)")
+    index = functools.cache(lambda phi: ind.epsilon_index(phi, epsilon))
     agg_lo = agg_hi = Fraction(0)
     count = 0
     for m, phi, lo, hi in coset_fpp_enclosures(d, e, n):
@@ -166,7 +170,7 @@ def cmd_fpp(d: int, e: int, n: int, epsilon: Fraction | None, exact: bool) -> in
         print(f"coset m={m}: status = {pm.coset_status(m, d).value}")
         print(f"coset m={m}: fpp_n = {_show_enclosure(lo, hi, exact)}")
         if epsilon is not None:
-            idx = ind.epsilon_index(phi, epsilon)
+            idx = index(phi)
             shown = "diverges" if idx is ind.DIVERGES else str(idx)
             print(f"coset m={m}: N_eps({epsilon}) = {shown}")
     print(f"aggregate FPP(B_n), n={n}: "
@@ -367,13 +371,13 @@ def cmd_bound(d: int, e: int, n: int, q_grid: str, c: str, measure: bool,
     A_order = len(A)
     B_order = A_order * wreath_order(d, d, n)
     if classes == "exact":
-        class_count = bnd.fix_class_count(pm.b_n_permset(d, e, n))
-    else:
-        class_count = B_order
+        class_count, class_text = bnd.fix_class_count(pm.b_n_permset(d, e, n)), "classes="
+    else:  # |B_n| bounds the number of classes from above
+        class_count, class_text = B_order, "classes<="
     fpp_up = sum(hi for *_, hi in coset_fpp_enclosures(d, e, n)) / A_order
     print(
         f"model: d={d} e={e} n={n} |A|={A_order} |B_n|={B_order} "
-        f"FPP(B_n)<={frac_str(fpp_up)} classes={class_count}"
+        f"FPP(B_n)<={frac_str(fpp_up)} {class_text}{class_count}"
     )
     violations = 0
     for q in grid:

@@ -15,6 +15,21 @@ polynomial roughly multiplies denominator sizes by d, so exact iteration blows
 up exponentially in bits), then carries outward-rounded dyadic endpoints as
 integer numerators over 2^wp, stepped by integer Horner with no Fraction or gcd.
 All returned enclosures are guaranteed to contain the true value.
+
+epsilon_index steps only the first SKIP_AFTER iterates.  When f'(1) = 1 and
+f''(1) > 0, as for every coset of a transitive group, it then encloses
+v_n = 1/(1 - f^n(0)) over strides of many n (`_skip_ahead`), the parabolic
+(Leau-Fatou) behaviour of the fixed point 1 (Milnor, Dynamics in One Complex
+Variable, section 10).  With u = 1 - x and the factorial moments
+mu_j = sum_k c_k C(k, j), u_{n+1} = F(u_n) for F(u) = 1 - f(1 - u), and the
+Bonferroni inequalities give P3(u) - mu_4 u^4 <= F(u) <= P3(u) on [0, 1], with
+P3(u) = u - mu_2 u^2 + mu_3 u^3.  So v_{n+1} - v_n = 1/F(u_n) - 1/u_n is
+a + b u_n + R(u_n), with a = mu_2, b = mu_2^2 - mu_3 and k_lo u^2 <= R(u) <=
+k_hi u^2 for rationals k_lo, k_hi on [0, u_m] (`_parabolic_constants`).  A
+stride sums the u_n between Jensen's bound and the chord of the convex
+1/(A + alpha i).  All of it is exact rationals and integers rounded
+outward, with no float; an index is returned only when certified, and
+otherwise the scan goes on.
 """
 
 from __future__ import annotations
@@ -22,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import ceil, lcm
+from math import comb, lcm
 
 import numpy as np
 
@@ -33,6 +48,9 @@ ENCLOSURE_PRECISION = 128
 WORKING_PRECISION = 256
 MAX_PRECISION = 4096
 MAX_ITERATION_STEPS = 200_000
+SKIP_AFTER = 64  # iterates epsilon_index steps before it tries _skip_ahead
+_GRID_BITS = 64  # bits _skip_ahead keeps of every u, which is at least epsilon
+_STRIDE_SHARE = 8  # a stride raises v by about 1/8 of its value
 
 
 class PrecisionExhaustedError(Exception):
@@ -194,7 +212,10 @@ def epsilon_index(f: IndicatrixPoly, epsilon) -> int | _Diverges:
     iterates at 0 converge to 1 whenever the constant term is positive.
     Comparisons against epsilon are decided from certified enclosures; if an
     enclosure straddles epsilon the scan restarts at doubled precision, up to
-    the hard cap.  Running out of MAX_ITERATION_STEPS is a ResourceCapError.
+    the hard cap.  After SKIP_AFTER iterates the scan hands its enclosure to
+    `_skip_ahead`, which returns n only when its enclosures of v = 1/(1 - f^n(0))
+    certify v_{n-1} <= 1/epsilon < v_n; otherwise the scan goes on.  A scan
+    that runs out of MAX_ITERATION_STEPS is a ResourceCapError.
     """
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
@@ -212,10 +233,14 @@ def epsilon_index(f: IndicatrixPoly, epsilon) -> int | _Diverges:
                 return n
             if (den - hi) * eps_den < bar:
                 break  # the enclosure straddles epsilon
+            if n == SKIP_AFTER:
+                index = _skip_ahead(f, epsilon, n, Fraction(den - hi, den),
+                                    Fraction(den - lo, den))
+                if index is not None:
+                    return index
         else:
             raise ResourceCapError(
-                f"no index below epsilon={epsilon} within {MAX_ITERATION_STEPS}"
-                f" iterations; {_index_estimate(f, epsilon)}"
+                f"no index below epsilon={epsilon} within {MAX_ITERATION_STEPS} iterations"
             )
         if wp >= MAX_PRECISION:
             raise PrecisionExhaustedError(
@@ -224,19 +249,86 @@ def epsilon_index(f: IndicatrixPoly, epsilon) -> int | _Diverges:
         wp = min(2 * wp, MAX_PRECISION)
 
 
-def _index_estimate(f: IndicatrixPoly, epsilon: Fraction) -> str:
-    """What the asymptotics of 1 - f^n(0) say about an index not reached.
+def _parabolic_constants(f: IndicatrixPoly, U: Fraction):
+    """(a, b, k_lo, k_hi) with k_lo u^2 <= 1/F(u) - 1/u - a - b u <= k_hi u^2
+    for u in (0, U], where F(u) = 1 - f(1 - u); None unless f'(1) = 1,
+    f''(1) > 0 and the denominators below stay positive on [0, U].
 
-    With f'(1) = 1 (cosets of transitive groups) and f''(1) > 0 the iterates
-    approach 1 parabolically, 1 - f^n(0) ~ 2/(f''(1) n)."""
-    slope = derivative_at_one(f)
-    if slope != 1:
-        return f"phi'(1) = {slope}, not 1"
-    curvature = sum(k * (k - 1) * c for k, c in f.terms)
-    return (
-        f"estimated index {ceil(2 / (curvature * epsilon))}"
-        " from the parabolic asymptotic 2/(phi''(1)*epsilon)"
-    )
+    With mu_j the factorial moments, D(u) = 1 - mu_2 u + mu_3 u^2 and
+    E(u) = D(u) - mu_4 u^3, the Bonferroni bounds u E(u) <= F(u) <= u D(u)
+    put 1/F(u) - 1/u - a - b u between u^2 (b mu_2 - mu_2 mu_3 - b mu_3 u)/D(u)
+    and u^2 ((mu_4 - mu_2 mu_3 + b mu_2) + (mu_2 mu_4 - b mu_3) u + b mu_4 u^2)/E(u).
+    On [0, U], 1 - mu_2 U - mu_4 U^3 <= E <= D and D, E <= 1 + mu_3 U^2.
+    """
+    _, mu1, mu2, mu3, mu4 = (sum(c * comb(k, j) for k, c in f.terms) for j in range(5))
+    if mu1 != 1 or mu2 <= 0:
+        return None
+    a, b = mu2, mu2 * mu2 - mu3
+    d_lo = 1 - mu2 * U
+    e_lo = d_lo - mu4 * U**3
+    den_hi = 1 + mu3 * U * U
+    if e_lo <= 0:
+        return None
+    low = mu2 * (b - mu3) + min(-b * mu3, 0) * U
+    high = (mu4 - mu2 * mu3 + b * mu2 + max(mu2 * mu4 - b * mu3, 0) * U
+            + max(b * mu4, 0) * U * U)
+    return (a, b, low / (den_hi if low >= 0 else d_lo),
+            high / (e_lo if high >= 0 else den_hi))
+
+
+def _skip_ahead(f: IndicatrixPoly, epsilon: Fraction, n: int, u_lo: Fraction,
+                u_hi: Fraction) -> int | None:
+    """The smallest index with 1 - f^index(0) < epsilon, given that
+    u_n = 1 - f^n(0) lies in [u_lo, u_hi] with u_lo >= epsilon; None when the
+    enclosures below cannot certify it.
+
+    [lo, hi] encloses v_n = 1/u_n.  Every later u is at most top = 1/lo, so
+    each increment of v lies in [step_lo, step_hi].  A stride of s steps adds
+    s a + b S + R, where S, the sum of the next s values of u, lies between
+    Jensen's bound s/(hi + step_hi (s-1)/2) and the chord of the convex
+    1/(lo + step_lo i), and R lies between k_lo and k_hi times the sum of their
+    squares.  A stride raises v by at most about 1/_STRIDE_SHARE of itself and
+    ends with hi <= 1/epsilon, so the last one is a single step past 1/epsilon.
+    Every quantity is an integer count of 1/one, rounded down on the lower
+    side of its enclosure and up on the upper side; one is 2^_GRID_BITS over
+    epsilon, so each u keeps _GRID_BITS bits.
+    """
+    constants = _parabolic_constants(f, u_hi)
+    if constants is None:
+        return None
+    a, b, k_lo, k_hi = constants
+    one = 1 << _GRID_BITS + (epsilon.denominator // epsilon.numerator).bit_length()
+    target = _scaled(1 / epsilon, one, False)
+    lo, hi = _scaled(1 / u_hi, one, False), _scaled(1 / u_lo, one, True)
+    a_lo, a_hi = _scaled(a, one, False), _scaled(a, one, True)
+    while True:
+        top = -(-one * one // lo)
+        top_sq = -(-top * top // one)
+        step_lo = a_lo + min(_scaled(b, top, False), 0) + min(_scaled(k_lo, top_sq, False), 0)
+        step_hi = a_hi + max(_scaled(b, top, True), 0) + max(_scaled(k_hi, top_sq, True), 0)
+        if step_lo <= 0:
+            return None
+        s = max(1, min(lo // (_STRIDE_SHARE * step_hi), (target - hi) // step_hi))
+        sum_lo = 2 * s * one * one // (2 * hi + step_hi * (s - 1))
+        sum_hi = -(-s * (top - (-one * one // (lo + step_lo * (s - 1)))) // 2)
+        squares_lo, squares_hi = sum_lo * sum_lo // (s * one), -(-top * sum_hi // one)
+        new_lo = (lo + s * a_lo + min(_scaled(b, sum_lo, False), _scaled(b, sum_hi, False))
+                  + min(_scaled(k_lo, squares_lo, False), _scaled(k_lo, squares_hi, False)))
+        new_hi = (hi + s * a_hi + max(_scaled(b, sum_lo, True), _scaled(b, sum_hi, True))
+                  + max(_scaled(k_hi, squares_lo, True), _scaled(k_hi, squares_hi, True)))
+        if new_hi <= target:
+            n, lo, hi = n + s, new_lo, new_hi
+        elif s == 1 and new_lo > target:
+            return n + 1
+        else:
+            return None
+
+
+def _scaled(c: Fraction, x: int, up: bool) -> int:
+    """c * x rounded down to an integer, or up when up is True."""
+    if up:
+        return -(-c.numerator * x // c.denominator)
+    return c.numerator * x // c.denominator
 
 
 def to_text(f: IndicatrixPoly) -> str:

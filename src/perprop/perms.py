@@ -66,7 +66,9 @@ class Permutation:
         return Permutation(tuple(inv))
 
     def cycle_string(self) -> str:
-        """Disjoint-cycle text form, e.g. "(0 1 2)(3 4)"; identity is "()"."""
+        """Disjoint-cycle text form, e.g. "(0 1 2)(3 4)"; identity is "()".
+        It stays because __repr__ prints it, so a failed comparison of
+        permutations reads as cycles."""
         seen = [False] * self.degree
         parts = []
         for start in range(self.degree):
@@ -93,7 +95,9 @@ def identity(degree: int) -> Permutation:
 
 
 def from_cycles(text: str, degree: int) -> Permutation:
-    """Parse cycle notation like "(0 1 2)(3 4)"; points not mentioned are fixed."""
+    """Parse cycle notation like "(0 1 2)(3 4)"; points not mentioned are fixed.
+    The inverse of Permutation.cycle_string and exported by the package; it
+    stays as the notation the tests write their group generators in."""
     check_degree(degree)
     images = list(range(degree))
     moved: set[int] = set()

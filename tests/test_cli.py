@@ -42,6 +42,19 @@ def test_fpp_epsilon_reporting(capsys):
     assert "coset m=2: N_eps(1/2) = diverges" in out
 
 
+def test_fpp_steps_each_distinct_indicatrix_once(capsys, monkeypatch):
+    # the 8 multipliers mod 30 have g = gcd(m - 1, 30) in {30, 6, 10, 2}
+    calls = []
+    for name in ("iterate_at_zero", "epsilon_index"):
+        real = getattr(indicatrix, name)
+        monkeypatch.setattr(indicatrix, name,
+                            lambda phi, x, real=real, name=name:
+                            calls.append((name, phi)) or real(phi, x))
+    code, out, _ = run(capsys, "fpp", "-d", "30", "-n", "3", "--epsilon", "1/100")
+    assert code == 0 and out.count("N_eps(1/100)") == 8
+    assert len(calls) == 8 and len(set(calls)) == 8
+
+
 def test_fpp_usage_error(capsys):
     code, _, err = run(capsys, "fpp", "-d", "1")
     assert code == 2
@@ -348,7 +361,10 @@ def test_bound_exact_classes(capsys):
     code, out, _ = run(capsys, "bound", "-d", "3", "-e", "1", "-n", "1",
                        "-q", "101", "--classes", "exact")
     assert code == 0
-    assert "classes=2" in out  # exact count is smaller than the safe default 6
+    assert out.split()[7] == "classes=2"
+    code, out, _ = run(capsys, "bound", "-d", "3", "-e", "1", "-n", "1", "-q", "101")
+    assert code == 0
+    assert out.split()[7] == "classes<=6"  # the safe default prints |B_1|, a bound
 
 
 def test_config_file_preloads_defaults(tmp_path, capsys):
@@ -547,15 +563,14 @@ def test_sweep_past_the_graph_cap_is_refused_before_the_sieve(capsys, monkeypatc
 
 
 def test_epsilon_iteration_cap_is_a_resource_cap(capsys, monkeypatch):
-    from perprop import indicatrix
-
-    monkeypatch.setattr(indicatrix, "MAX_ITERATION_STEPS", 10)
+    # the skip-ahead is forced to fall back, so the scan runs past SKIP_AFTER
+    # into the step cap
+    monkeypatch.setattr(indicatrix, "_skip_ahead", lambda *args: None)
+    monkeypatch.setattr(indicatrix, "MAX_ITERATION_STEPS", 2 * indicatrix.SKIP_AFTER)
     code, _, err = run(capsys, "fpp", "-d", "2", "-n", "1", "--epsilon", "1/10000")
     assert code == 5
-    assert err.startswith("resource cap:")
-    # the parabolic estimate 2/(phi''(1)*eps) for phi = 1/2 + 1/2*x^2
-    assert "20000" in err
-    assert "transitive group?" not in err
+    assert err == ("resource cap: no index below epsilon=1/10000 within "
+                   f"{2 * indicatrix.SKIP_AFTER} iterations\n")
 
 
 def test_fpp_level_past_the_step_cap_is_refused_before_output(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,8 @@ from perprop.indicatrix import (
     value_at,
 )
 from perprop.perms import Permutation, cyclic_group, fpp, permset, symmetric_group
-from perprop.powermap import build_B1, coset_indicatrix, galois_A
+from perprop.powermap import b_n_permset, build_B1, coset_indicatrix, galois_A
+from perprop.wreath import iterated_wreath
 
 F = Fraction
 
@@ -177,6 +179,113 @@ def test_epsilon_index_restarts_when_enclosure_straddles(monkeypatch):
     monkeypatch.setattr(indicatrix, "WORKING_PRECISION", 4096)
     assert epsilon_index(PHI_C2, eps) == index == 31
     assert precisions == [256, 512, 4096]
+
+
+def _binomial(g):
+    return IndicatrixPoly({0: 1 - F(1, g), g: F(1, g)})
+
+
+def _moments(phi):
+    """Factorial moments mu_0..mu_4: sum over k of coeff_k * C(k, j)."""
+    return [sum(c * math.comb(k, j) for k, c in phi.terms) for j in range(5)]
+
+
+# every coset indicatrix with g <= 12, the base groups, and the level-2
+# cosets of d = 2 (B_2 itself, from b_n_permset) and d = 3, each once: C2 and
+# C3 are the cosets of g = 2 and 3, and the m = 2 coset of d = 3 is x, as g = 1
+SKIP_CASES = list(dict.fromkeys([_binomial(g) for g in range(1, 13)] + [
+    PHI_C2, PHI_C3, PHI_S3, indicatrix_of(b_n_permset(2, 1, 2))
+] + [indicatrix_of(iterated_wreath(build_B1(3, 1).coset_permset(m), 2))
+     for m in build_B1(3, 1).A]))
+
+
+@pytest.mark.parametrize("phi", [_binomial(g) for g in range(2, 13)] + [
+    PHI_C3, PHI_S3, indicatrix_of(b_n_permset(2, 1, 2))], ids=repr)
+def test_parabolic_constants_bound_the_increment(phi):
+    # exact Fractions: the Bonferroni bounds on F(u) = 1 - phi(1 - u) hold on
+    # (0, 1], and 1/F(u) - 1/u - a - b*u lies in [k_lo u^2, k_hi u^2] on (0, U]
+    _, _, mu2, mu3, mu4 = _moments(phi)
+    for k in range(1, 65):
+        u = F(k, 64)
+        p3 = u - mu2 * u**2 + mu3 * u**3
+        assert p3 - mu4 * u**4 <= 1 - value_at(phi, 1 - u) <= p3
+    for U in (F(1, 20), F(1, 200), F(1, 2000)):
+        a, b, k_lo, k_hi = indicatrix._parabolic_constants(phi, U)
+        assert (a, b) == (mu2, mu2 * mu2 - mu3)
+        for k in range(1, 33):
+            u = U * F(k, 32)
+            rest = 1 / (1 - value_at(phi, 1 - u)) - 1 / u - a - b * u
+            assert k_lo * u**2 <= rest <= k_hi * u**2, (U, u)
+
+
+def test_parabolic_constants_of_a_coset():
+    # 1 - 1/g + x^g/g: a = (g - 1)/2 and b = (g^2 - 1)/12
+    for g in range(2, 13):
+        a, b, _, _ = indicatrix._parabolic_constants(_binomial(g), F(1, 200))
+        assert (a, b) == (F(g - 1, 2), F(g * g - 1, 12))
+    assert indicatrix._parabolic_constants(IndicatrixPoly({1: F(1)}), F(1, 200)) is None
+    # 1 - mu_2 U - mu_4 U^3 <= 0 bounds no denominator away from 0
+    assert indicatrix._parabolic_constants(_binomial(12), F(1, 5)) is None
+
+
+def test_skip_ahead_equals_the_scan(monkeypatch):
+    # the coset indicatrices of g <= 12 cover every build_B1 coset of these d, e
+    assert {coset_indicatrix(m, d) for d in range(2, 8) for e in (1, 3, 4)
+            for m in galois_A(d, e)} <= set(SKIP_CASES)
+    epsilons = (F(1, 10**3), F(1, 10**4), F(1, 50000))
+    fast = {(phi, eps): epsilon_index(phi, eps) for phi in SKIP_CASES for eps in epsilons}
+    fallbacks = []
+    skip = indicatrix._skip_ahead
+    monkeypatch.setattr(indicatrix, "_skip_ahead",
+                        lambda *args: fallbacks.append(args) or None)
+    slow = {(phi, eps): epsilon_index(phi, eps) for phi, eps in fast}
+    assert fast == slow
+    # the 14 indicatrices other than x reach the skip at each epsilon, and it
+    # decides all 42 cases
+    assert len(SKIP_CASES) == 15 and len(fallbacks) == 42
+    assert all(skip(*args) is not None for args in fallbacks)
+
+
+@pytest.mark.parametrize("phi", [PHI_C2, PHI_S3, _binomial(5), _binomial(12)], ids=repr)
+def test_skip_ahead_is_never_wrong_next_to_a_target(phi):
+    # 1/epsilon just below or above v_n = 1/(1 - phi^n(0)), where the answer
+    # is n or n + 1: an enclosure of v that misses v_n by more than the offset
+    # answers wrongly, a sound one answers rightly or falls back (None)
+    a = _moments(phi)[2]
+    iterates = indicatrix._iterates(phi, 256)
+    start = [next(iterates) for _ in range(4000)]
+    lo, hi, den = start[indicatrix.SKIP_AFTER - 1]
+    u_lo, u_hi = F(den - hi, den), F(den - lo, den)
+    decided = 0
+    for n in (100, 300, 1000, 3000):
+        lo, hi, den = start[n - 1]
+        v = F(den, den - lo)  # within 2^-150 of v_n
+        for offset in (a / 1000, a / 100, a / 10):
+            for target, index in ((v - offset, n), (v + offset, n + 1)):
+                answer = indicatrix._skip_ahead(phi, 1 / target, indicatrix.SKIP_AFTER,
+                                                u_lo, u_hi)
+                assert answer in (None, index), (n, offset, target > v)
+                decided += answer is not None
+    assert decided >= 12
+
+
+def test_skip_ahead_replaces_the_scan(monkeypatch):
+    drawn = []
+    real_iterates = indicatrix._iterates
+
+    def spy(f, wp):
+        for item in real_iterates(f, wp):
+            drawn.append(wp)
+            yield item
+
+    monkeypatch.setattr(indicatrix, "_iterates", spy)
+    assert epsilon_index(PHI_C2, F(1, 10**4)) == 19989
+    assert len(drawn) <= indicatrix.SKIP_AFTER + 1
+
+
+def test_skip_ahead_answers_past_the_step_cap():
+    # the scan with the step cap lifted gives 1999984 as well
+    assert epsilon_index(PHI_C2, F(1, 10**6)) == 1999984 > indicatrix.MAX_ITERATION_STEPS
 
 
 def test_epsilon_index_validates_epsilon():
