@@ -162,19 +162,21 @@ def cmd_fpp(d: int, e: int, n: int, epsilon: Fraction | None, exact: bool) -> in
     index = functools.cache(lambda phi: ind.epsilon_index(phi, epsilon))
     agg_lo = agg_hi = Fraction(0)
     count = 0
+    lines = []  # printed once every N_eps is known, so a resource cap prints nothing
     for m, phi, lo, hi in coset_fpp_enclosures(d, e, n):
         agg_lo += lo
         agg_hi += hi
         count += 1
-        print(f"coset m={m}: phi = {ind.to_text(phi)}")
-        print(f"coset m={m}: status = {pm.coset_status(m, d).value}")
-        print(f"coset m={m}: fpp_n = {_show_enclosure(lo, hi, exact)}")
+        lines.append(f"coset m={m}: phi = {ind.to_text(phi)}")
+        lines.append(f"coset m={m}: status = {pm.coset_status(m, d).value}")
+        lines.append(f"coset m={m}: fpp_n = {_show_enclosure(lo, hi, exact)}")
         if epsilon is not None:
             idx = index(phi)
             shown = "diverges" if idx is ind.DIVERGES else str(idx)
-            print(f"coset m={m}: N_eps({epsilon}) = {shown}")
-    print(f"aggregate FPP(B_n), n={n}: "
-          f"{_show_enclosure(agg_lo / count, agg_hi / count, exact)}")
+            lines.append(f"coset m={m}: N_eps({epsilon}) = {shown}")
+    lines.append(f"aggregate FPP(B_n), n={n}: "
+                 f"{_show_enclosure(agg_lo / count, agg_hi / count, exact)}")
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -326,13 +328,13 @@ def cmd_wreathcheck(base: str, n: int) -> int:
     if base not in _BASE_GROUPS:
         raise UsageError(f"base must be one of {sorted(_BASE_GROUPS)}")
     g = _BASE_GROUPS[base]()
-    size = wreath_order(len(g), g.degree, n)
-    print(f"enumerating [{base}]^{n}: {size} permutations of degree {g.degree ** n}")
-    brute = fpp(iterated_wreath(g, n))
+    wreath = iterated_wreath(g, n)  # refused at the enumeration cap before any output
+    brute = fpp(wreath)
     iv = ind.iterate_at_zero(ind.indicatrix_of(g), n)
     if iv.lo != iv.hi:  # every level the enumeration cap admits iterates exactly
         raise RuntimeError(f"inexact recursion enclosure [{iv.lo}, {iv.hi}]")
     recursion = 1 - iv.lo
+    print(f"enumerating [{base}]^{n}: {len(wreath)} permutations of degree {wreath.degree}")
     print(f"brute-force FPP = {frac_str(brute)}")
     print(f"recursion  FPP = {frac_str(recursion)}")
     if brute == recursion:

@@ -1,7 +1,11 @@
+import hashlib
 import json
+import os
 import random
+import shutil
 import subprocess
 import sys
+from dataclasses import dataclass
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -10,7 +14,9 @@ import pytest
 from perprop import dynamics, indicatrix, powermap, residue_fields
 from perprop.cli import COMMANDS, _bool_conv, fmt6, main
 
-GOLDEN_EXACT_GROUP = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "exact_group.json"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_EXACT_GROUP = ROOT / "perfbench" / "golden" / "exact_group.json"
+SCRIPTS = ROOT / "scripts"
 
 
 def run(capsys, *argv):
@@ -19,27 +25,309 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_fpp_aggregate_values(capsys):
-    code, out, _ = run(capsys, "fpp", "-d", "3", "-e", "3", "-n", "2")
-    assert code == 0
-    assert "aggregate FPP(B_n), n=2: 19/81 (0.234568)" in out
-
-    code, out, _ = run(capsys, "fpp", "-d", "2", "-e", "1", "-n", "3")
-    assert code == 0
-    assert "39/128" in out
-
-    code, out, _ = run(capsys, "fpp", "-d", "3", "-e", "1", "-n", "1")
-    assert code == 0
-    assert "coset m=2: status = all-have-fixed-points" in out
-    assert "coset m=2: fpp_n = 1/1 (1.000000)" in out
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_fpp_epsilon_reporting(capsys):
-    code, out, _ = run(capsys, "fpp", "-d", "3", "-e", "1", "-n", "1",
-                       "--epsilon", "0.5")
-    assert code == 0
-    assert "coset m=1: N_eps(1/2) = 1" in out
-    assert "coset m=2: N_eps(1/2) = diverges" in out
+EXPECTED_SWEEP_D3_N10 = """p,f,norm,wild,periodic,total,proportion,bijective,image_sizes
+2,1,2,true,3,3,1.000000,true,3;3
+3,1,3,true,4,4,1.000000,true,4;4
+5,1,5,false,6,6,1.000000,true,6;6
+7,1,7,false,2,8,0.250000,false,8;4;3;2;2
+# top_decade (1, 10] tame: count=2 max=1.000000 median=0.625000
+# top_decade (1, 10] wild: count=2 max=1.000000 median=1.000000
+"""
+
+
+@dataclass(frozen=True)
+class Row:
+    """One command line and what it must print: its exit code, its exact
+    stderr (one line, or nothing), and a stdout that holds every line of
+    `lines` and hashes to `sha256`, or is empty when neither is given."""
+
+    argv: str  # split on whitespace
+    code: int = 0
+    err: str = ""
+    lines: tuple[str, ...] = ()
+    sha256: str | None = None
+    config: str | None = None  # the text of a file passed with --config
+
+
+def usage(argv: str, message: str, config: str | None = None) -> Row:
+    return Row(argv, 2, f"usage error: {message}", config=config)
+
+
+PAST_4300_DIGITS = ("resource cap: the 14-fold iterated wreath order has more than "
+                    "4300 decimal digits")
+UNDECIDED = "hypothesis '0 is not preperiodic' fails to certify within {} iterations (undecided)"
+
+# Every expectation on a whole command line.  A key names the test its rows
+# run in, "name[id]" an id of a parametrized test; a value is one row or a
+# tuple of rows run in turn.
+ROWS = {
+    # fpp
+    "epsilon_index": Row("fpp -d 2 -n 1 --epsilon 1/10000",
+                         lines=("coset m=1: N_eps(1/10000) = 19989",)),
+    "epsilon_index_past_the_iteration_step_cap": Row(
+        "fpp -d 2 -n 64 --epsilon 1/1000000", lines=("coset m=1: N_eps(1/1000000) = 1999984",)),
+    "fpp_aggregate_values": (
+        Row("fpp -d 3 -e 3 -n 2", lines=("aggregate FPP(B_n), n=2: 19/81 (0.234568)",)),
+        Row("fpp -d 2 -e 1 -n 3", lines=("aggregate FPP(B_n), n=3: 39/128 (0.304688)",)),
+        Row("fpp -d 3 -e 1 -n 1", lines=("coset m=2: status = all-have-fixed-points",
+                                         "coset m=2: fpp_n = 1/1 (1.000000)")),
+    ),
+    "fpp_epsilon_reporting": Row("fpp -d 3 -e 1 -n 1 --epsilon 0.5",
+                                 lines=("coset m=1: N_eps(1/2) = 1",
+                                        "coset m=2: N_eps(1/2) = diverges")),
+    "fpp_usage_error": usage("fpp -d 1", "-d must be >= 2"),
+    **{f"fpp_epsilon_out_of_range_is_reported_before_output[{eps}]":
+       usage(f"fpp -d 2 -n 1 --epsilon {eps}", "epsilon must be in (0, 1)") for eps in "201"},
+    "fpp_degree_past_the_cap_is_refused": (
+        usage("fpp -d 10001 -n 1", "-d must be <= 10000"),
+        usage("bound -d 10001 -q 7", "-d must be <= 10000"),
+    ),
+    # regime
+    "regime_c_output": Row("regime -d 3 -e 1 -c 1",
+                           lines=("regime: (a)+(c): limsup = 1, witness m=2",)),
+    "regime_b_output": Row("regime -d 2 -e 1 -c 1", lines=("regime: (a)+(b): limit = 0",)),
+    "certified_escape_over_q": Row("regime -d 2 -e 1 -c=1", lines=(
+        "critical orbit of 0: not-preperiodic (escape certified at iterate 3)",)),
+    "certified_escape": Row("regime -d 2 -e 7 -c=-2z+z^2-z^4-z^5", lines=(
+        "critical orbit of 0: not-preperiodic (escape certified at iterate 8)",)),
+    "regime_hypothesis_failure_exit_3": Row("regime -d 2 -e 1 -c -1", 3, lines=(
+        "hypothesis '0 is not preperiodic' fails: orbit repeats (iterate 2 equals iterate 0)",)),
+    "regime_undecided_exit_3": Row("regime -d 2 -e 1 -c 1 --max-iter 1", 3,
+                                   lines=(UNDECIDED.format(1),)),
+    "undecided_critical_orbit": Row("regime -d 2 -e 5 -c=1+z", 3, lines=(UNDECIDED.format(500),)),
+    "orbit_over_the_bit_budget_before_its_last_power": Row(
+        "regime -d 3 -e 8 -c=2+z-z^2-2z^3", 3, lines=(UNDECIDED.format(500),)),
+    # sweep
+    "sweep_csv_golden": Row("sweep -d 3 -e 1 -c 1 -N 10", sha256=sha256(EXPECTED_SWEEP_D3_N10)),
+    "sweep_known_rows": (
+        Row("sweep -d 2 -e 1 -c 1 -N 5", lines=("5,1,5,false,4,6,0.666667,false,6;4;4",)),
+        Row("sweep -d 3 -e 1 -c 1 -N 7", lines=("7,1,7,false,2,8,0.250000,false,8;4;3;2;2",)),
+    ),
+    "sweep_exact_proportions": Row("sweep -d 3 -e 1 -c 1 -N 10 --exact",
+                                   lines=("7,1,7,false,2,8,1/4,false,8;4;3;2;2",)),
+    "sweep_past_the_graph_cap_is_refused_before_output": Row(
+        "sweep -d 2 -c=1 -N 10000000000", 5,
+        "resource cap: -N 10000000000 allows graphs of 10000000001 points, cap is 20000000"),
+    "sweep_output_pinned_by_hash[d2-e1]": Row(
+        "sweep -d 2 -e 1 -c=1 -N 10000",
+        sha256="0bc4c8409ef5100002908bab8426a24d9f08e37b7611e7fb7cfc473cf9ad31fc"),
+    "sweep_output_pinned_by_hash[d2-e1-threads2]": Row(
+        "sweep -d 2 -e 1 -c=1 -N 10000 --threads 2",
+        sha256="0bc4c8409ef5100002908bab8426a24d9f08e37b7611e7fb7cfc473cf9ad31fc"),
+    "sweep_output_pinned_by_hash[d3-e5]": Row(
+        "sweep -d 3 -e 5 -c=1 -N 30000",
+        sha256="00cd99216ca9e2fb5e5a63887fcdc1e6eafaa15dd482b84b5cd0493d15bd4104"),
+    # split primes of Q(zeta_5) with f = 1, 2 and 4
+    "sweep_output_pinned_by_hash[d2-e5]": Row(
+        "sweep -d 2 -e 5 -c=1 -N 30000",
+        sha256="859bc29ee471728dc0420674cfc1d3a9be541f1517174a0f43b1300e6a8158d2"),
+    # 64 primes of Q(zeta_8) with f = 2, whose root search starts at index p
+    "sweep_output_pinned_by_hash[d2-e8]": Row(
+        "sweep -d 2 -e 8 -c=1 -N 30000",
+        sha256="99fa3c444e1914a79f2adfd3633ca5f862210c31db9b44de5835fa24a9593fda"),
+    # rows folded by x -> -x (gcd(d, q-1) = 2) next to rows with gcd 1, 3, 4 or 6
+    "sweep_output_pinned_by_hash[d6-e4]": Row(
+        "sweep -d 6 -e 4 -c=1+z -N 3000",
+        sha256="ad1ae32793f410889c6b4d66ba511f1381268a70ffb7c91f0eb64abd950283c2"),
+    "sweep_output_pinned_by_hash[d4-e3]": Row(
+        "sweep -d 4 -e 3 -c=2 -N 3000",
+        sha256="c6cb0650b0b12415ec1070050bd5ed5676aa8291929e144d917a871b06420ada"),
+    "sweep_json_output_pinned_by_hash[json]": Row(
+        "sweep -d 3 -e 5 -c=1+z -N 3000 --json",
+        sha256="158b056b474e61bf65804065921b3c9dc7c991ffc8e959f4092cbce1cca5902f"),
+    "sweep_json_output_pinned_by_hash[json-exact]": Row(
+        "sweep -d 3 -e 5 -c=1+z -N 3000 --json --exact",
+        sha256="d7720ce9bb0ed0529b961b0d79df6dea7b49b7a996cbcb76c3cc4f7fdfe90cae"),
+    # wreathcheck
+    "wreath_oracle": Row("wreathcheck C2 4", lines=("brute-force FPP = 8463/32768", "PASS")),
+    "wreathcheck_pass": (
+        Row("wreathcheck C2 2", lines=("PASS",)),
+        Row("wreathcheck C3 2", lines=("brute-force FPP = 19/81", "PASS")),
+        Row("wreathcheck S3 2", lines=("brute-force FPP = 40/81", "PASS")),
+    ),
+    "wreathcheck_cap_exit_5": Row("wreathcheck C3 3", 5, "resource cap: iterated wreath needs "
+                                  "1594323 elements, cap is 1000000"),
+    "wreathcheck_usage": usage("wreathcheck Q8 2", "base must be one of ['C2', 'C3', 'S3']"),
+    "wreathcheck_names_a_missing_positional[argv0-N]": usage(
+        "wreathcheck C2", "missing required argument N"),
+    "wreathcheck_names_a_missing_positional[argv1-BASE]": usage(
+        "wreathcheck", "missing required argument BASE"),
+    "wreath_order_past_the_digit_limit_is_a_resource_cap": (
+        Row("wreathcheck C2 14", 5, PAST_4300_DIGITS),
+        Row("bound -d 2 -n 14 -q 10", 5, PAST_4300_DIGITS),
+    ),
+    # bound
+    "bound_table": Row("bound -d 3 -e 1 -n 1 -q 1000003", lines=(
+        "model: d=3 e=1 n=1 |A|=2 |B_n|=6 FPP(B_n)<=2/3 classes<=6",
+        "q=1000003 bound=1.393385 error_term=0.060052")),
+    "bound_measure": (
+        Row("bound -d 3 -e 1 -n 1 -q 10009 -c 1 --measure", lines=(
+            "q=10009 norm=10009 bound=1.938198 error_term=0.604865 measured=0.333467 ok",)),
+        usage("bound -d 3 -e 1 -n 1 -q 10008 --measure",
+              "--measure needs prime grid entries, got 10008"),
+    ),
+    **{f"bound_measure_rejects_a_grid_entry_before_output[{e}-{grid}-{message}]":
+       usage(f"bound -d 2 -e {e} -n 1 -q {grid} --measure", message) for e, grid, message in [
+           (3, "7,3", "--q-grid entry 3 ramifies in Q(zeta_3)"),
+           (5, "5", "--q-grid entry 5 ramifies in Q(zeta_5)"),
+           (1, "7,9", "--measure needs prime grid entries, got 9"),
+       ]},
+    "measured_bound_past_the_graph_cap_is_refused_before_output": Row(
+        "bound -d 2 -n 1 -q 101,20000003 --measure", 5,
+        "resource cap: graph needs 20000004 points, cap is 20000000"),
+    "bound_exact_classes": (
+        Row("bound -d 3 -e 1 -n 1 -q 101 --classes exact",
+            lines=("model: d=3 e=1 n=1 |A|=2 |B_n|=6 FPP(B_n)<=2/3 classes=2",)),
+        # the safe default prints |B_1|, a bound
+        Row("bound -d 3 -e 1 -n 1 -q 101",
+            lines=("model: d=3 e=1 n=1 |A|=2 |B_n|=6 FPP(B_n)<=2/3 classes<=6",)),
+    ),
+    "exact_class_count": Row("bound -d 4 -e 1 -n 2 -q 10009,100003 --classes exact", lines=(
+        "model: d=4 e=1 n=2 |A|=2 |B_n|=2048 FPP(B_n)<=559/2048 classes=35",)),
+    "exact_classes_over_cap_is_a_resource_cap": Row(
+        "bound -d 3 -e 1 -n 3 -q 10 --classes exact", 5,
+        "resource cap: B_n enumeration needs 3188646 elements, cap is 1000000"),
+    # |B_7| = 2^127: the error terms are far beyond 10^22
+    "bound_with_a_group_order_past_double_digits": Row(
+        "bound -d 2 -n 7 -q 10,100003",
+        sha256="1fc6465c55267550ea8977aca966d4e4c4cc49e6af87738ac913a84af0181330"),
+    "bound_refuses_a_bad_c_without_measure": usage("bound -d 2 -n 1 -q 10 -c=abc",
+                                                   "bad value for -c: 'abc'"),
+    "group_side_output_pinned_by_hash[fpp-d200]": Row(
+        "fpp -d 200 -n 2 --epsilon 1/1000",
+        sha256="9454bea40869ae109a633b70af12565a1d3ff54a8061a0afebca5856a0d809ff"),
+    "group_side_output_pinned_by_hash[bound-d200]": Row(
+        "bound -d 200 -n 1 -q 10009",
+        sha256="3bacbf060088b7f0fdd0380298fb1e75a63cfce74b9729699b3963dd2f55b45a"),
+    "group_side_output_pinned_by_hash[bound-measure]": Row(
+        "bound -d 3 -n 2 -q 101,1009,10007,100003 --measure -c=1",
+        sha256="fa130581857953c6d4a1007a0be3912ca8e788e4fbc3bfc9475be994f8dbbb77"),
+    # iterates of degree g = 10000 that leave the exact phase for dyadic endpoints
+    "group_side_output_pinned_by_hash[fpp-d10000]": Row(
+        "fpp -d 10000 -n 3",
+        sha256="9625cd696d6f24613cc7423df7bd6f0b28d4cb70c72684082b916ed254952263"),
+    # a command that fails prints no partial result
+    "failed_command_prints_nothing[fpp-epsilon]": Row(
+        f"fpp -d 2 -n 1 --epsilon 1/{10**100}", 5,
+        f"resource cap: no index below epsilon=1/{10**100} within 200000 iterations"),
+    "failed_command_prints_nothing[wreathcheck-S3]": Row(
+        "wreathcheck S3 3", 5,
+        "resource cap: iterated wreath needs 13060694016 elements, cap is 1000000"),
+    # option values, typed or read from --config
+    **{f"bad_degree_or_conductor_is_reported_as_itself[argv{i}-{message}]": usage(argv, message)
+       for i, (argv, message) in enumerate([
+           ("regime -d 2 -e 0 -c=1", "-e must be >= 1"),
+           ("sweep -d 2 -e -4 -c=1 -N 10", "-e must be >= 1"),
+           ("regime -d 1 -e 0 -c=1", "-d must be >= 2"),
+       ])},
+    **{f"a_value_below_its_lower_bound_names_the_option[{name}]": usage(argv, message)
+       for name, argv, message in [
+           ("-d", "fpp -d 1", "-d must be >= 2"),
+           ("-e", "fpp -d 2 -e 0", "-e must be >= 1"),
+           ("-n", "bound -d 2 -q 7 -n 0", "-n must be >= 1"),
+           ("N", "wreathcheck C2 0", "N must be >= 1"),
+           ("-N", "sweep -d 2 -c=1 -N 1", "--norm-bound must be >= 2"),
+           ("--threads", "sweep -d 2 -c=1 -N 10 --threads 0", "--threads must be >= 1"),
+           ("--max-iter", "regime -d 2 -c=1 --max-iter 0", "--max-iter must be >= 1"),
+       ]},
+    **{f"a_c_that_is_no_cyclotomic_literal_names_c[{argv.split()[0]}]":
+       usage(argv, "bad value for -c: 'abc'") for argv in [
+           "regime -d 2 -e 5 -c=abc",
+           "sweep -d 2 -e 5 -c=abc -N 10",
+           "bound -d 2 -e 5 -q 11 -c=abc --measure",
+       ]},
+    "config_key_the_command_does_not_declare_is_refused[sweep-thread]": usage(
+        "sweep -d 2 -c=1 -N 10", "unknown config key 'thread' for sweep", "thread = 2\n"),
+    "config_key_the_command_does_not_declare_is_refused[regime-exact]": usage(
+        "regime -d 2 -c=1", "unknown config key 'exact' for regime", "exact = yes\n"),
+    "unparsable_option_value_names_the_option[q-grid-token]": usage(
+        "bound -d 2 -q 7,abc", "bad value for --q-grid: 'abc'"),
+    "unparsable_option_value_names_the_option[epsilon-text]": usage(
+        "fpp -d 2 --epsilon abc", "bad value for --epsilon: 'abc'"),
+    "unparsable_option_value_names_the_option[epsilon-zero-denominator]": usage(
+        "fpp -d 2 --epsilon 1/0", "bad value for --epsilon: '1/0'"),
+    "unparsable_option_value_names_the_option[config-d]": usage(
+        "fpp", "bad value for -d: 'abc'", "d=abc\n"),
+    **{f"typed_and_config_values_are_checked_alike[{name}]": (
+        usage(f"{argv} {typed}", message), usage(argv, message, config + "\n"))
+       for name, argv, typed, config, message in [
+           ("fpp-d", "fpp", "-d abc", "d=abc", "bad value for -d: 'abc'"),
+           ("sweep-N", "sweep -d 2 -c=1", "-N 1e4", "norm_bound=1e4",
+            "bad value for --norm-bound: '1e4'"),
+           ("wreathcheck-N", "wreathcheck C2", "abc", "n=abc", "bad value for N: 'abc'"),
+           ("bound-classes", "bound -d 2 -q 7", "--classes foo", "classes=foo",
+            "--classes must be 'safe' or 'exact'"),
+           ("fpp-d-cap", "fpp", "-d 10001", "d=10001", "-d must be <= 10000"),
+       ]},
+}
+
+
+def run_row(row: Row, tmp_path: Path, capsys) -> tuple[int, str, str]:
+    argv = row.argv.split()
+    if row.config is not None:
+        cfg = tmp_path / "perprop.cfg"
+        cfg.write_text(row.config)
+        argv += ["--config", str(cfg)]
+    return run(capsys, *argv)
+
+
+def check_row(row: Row, code: int, out: str, err: str) -> None:
+    assert (code, err) == (row.code, row.err and row.err + "\n"), row.argv
+    if row.sha256 is not None:
+        assert sha256(out) == row.sha256, row.argv
+    if row.lines:
+        assert [line for line in row.lines if line not in out.splitlines()] == [], row.argv
+    elif row.sha256 is None:
+        assert out == "", row.argv
+
+
+def _table_test(rows_by_id: dict[str, tuple[Row, ...]]):
+    def test(tmp_path, capsys, rows):
+        for row in rows:
+            check_row(row, *run_row(row, tmp_path, capsys))
+
+    if list(rows_by_id) == [""]:
+        return lambda tmp_path, capsys: test(tmp_path, capsys, rows_by_id[""])
+    return pytest.mark.parametrize("rows", list(rows_by_id.values()), ids=list(rows_by_id))(test)
+
+
+# each key of ROWS becomes the test it names, so a test folded into the table
+# keeps its name
+_TESTS: dict[str, dict[str, tuple[Row, ...]]] = {}
+for _key, _rows in ROWS.items():
+    _name, _, _id = _key.partition("[")
+    _TESTS.setdefault(f"test_{_name}", {})[_id[:-1]] = (
+        _rows if isinstance(_rows, tuple) else (_rows,))
+globals().update({name: _table_test(rows_by_id) for name, rows_by_id in _TESTS.items()})
+
+
+# one row of each failure kind and one pinned sweep, run as a fresh process:
+# this covers the __main__ guard and sys.exit, which in-process rows skip,
+# and the installed entry point wherever it is on PATH
+FRESH_PROCESS_ROWS = {
+    "exit-2": "bad_degree_or_conductor_is_reported_as_itself[argv0--e must be >= 1]",
+    "exit-3": "undecided_critical_orbit",
+    "exit-5": "wreathcheck_cap_exit_5",
+    "sha256": "sweep_output_pinned_by_hash[d6-e4]",
+}
+
+
+@pytest.mark.parametrize("key", list(FRESH_PROCESS_ROWS.values()), ids=list(FRESH_PROCESS_ROWS))
+def test_rows_in_a_fresh_process(key):
+    row = ROWS[key]
+    launchers = [[sys.executable, "-m", "perprop.cli"]]
+    if shutil.which("perprop"):
+        launchers.append([shutil.which("perprop")])
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    for launcher in launchers:
+        done = subprocess.run([*launcher, *row.argv.split()], capture_output=True, text=True,
+                              env=env, timeout=120)
+        check_row(row, done.returncode, done.stdout, done.stderr)
 
 
 def test_fpp_steps_each_distinct_indicatrix_once(capsys, monkeypatch):
@@ -55,68 +343,6 @@ def test_fpp_steps_each_distinct_indicatrix_once(capsys, monkeypatch):
     assert len(calls) == 8 and len(set(calls)) == 8
 
 
-def test_fpp_usage_error(capsys):
-    code, _, err = run(capsys, "fpp", "-d", "1")
-    assert code == 2
-    assert "usage error" in err
-
-
-@pytest.mark.parametrize("epsilon", ["2", "0", "1"])
-def test_fpp_epsilon_out_of_range_is_reported_before_output(capsys, epsilon):
-    code, out, err = run(capsys, "fpp", "-d", "2", "-n", "1", "--epsilon", epsilon)
-    assert (code, out) == (2, "")
-    assert err == "usage error: epsilon must be in (0, 1)\n"
-
-
-@pytest.mark.parametrize("argv, message", [
-    (("regime", "-d", "2", "-e", "0", "-c=1"), "-e must be >= 1"),
-    (("sweep", "-d", "2", "-e", "-4", "-c=1", "-N", "10"), "-e must be >= 1"),
-    (("regime", "-d", "1", "-e", "0", "-c=1"), "-d must be >= 2"),
-])
-def test_bad_degree_or_conductor_is_reported_as_itself(capsys, argv, message):
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err == f"usage error: {message}\n"
-
-
-@pytest.mark.parametrize("argv, message", [
-    (("fpp", "-d", "1"), "-d must be >= 2"),
-    (("fpp", "-d", "2", "-e", "0"), "-e must be >= 1"),
-    (("bound", "-d", "2", "-q", "7", "-n", "0"), "-n must be >= 1"),
-    (("wreathcheck", "C2", "0"), "N must be >= 1"),
-    (("sweep", "-d", "2", "-c=1", "-N", "1"), "--norm-bound must be >= 2"),
-    (("sweep", "-d", "2", "-c=1", "-N", "10", "--threads", "0"), "--threads must be >= 1"),
-    (("regime", "-d", "2", "-c=1", "--max-iter", "0"), "--max-iter must be >= 1"),
-], ids=["-d", "-e", "-n", "N", "-N", "--threads", "--max-iter"])
-def test_a_value_below_its_lower_bound_names_the_option(capsys, argv, message):
-    code, out, err = run(capsys, *argv)
-    assert (code, out, err) == (2, "", f"usage error: {message}\n")
-
-
-def test_regime_c_output(capsys):
-    code, out, _ = run(capsys, "regime", "-d", "3", "-e", "1", "-c", "1")
-    assert code == 0
-    assert "regime: (a)+(c): limsup = 1, witness m=2" in out
-
-
-def test_regime_b_output(capsys):
-    code, out, _ = run(capsys, "regime", "-d", "2", "-e", "1", "-c", "1")
-    assert code == 0
-    assert "regime: (a)+(b): limit = 0" in out
-
-
-def test_regime_hypothesis_failure_exit_3(capsys):
-    code, out, _ = run(capsys, "regime", "-d", "2", "-e", "1", "-c", "-1")
-    assert code == 3
-    assert "hypothesis '0 is not preperiodic' fails" in out
-
-
-def test_regime_undecided_exit_3(capsys):
-    code, out, _ = run(capsys, "regime", "-d", "2", "-e", "1", "-c", "1",
-                       "--max-iter", "1")
-    assert code == 3
-
-
 def test_every_recorded_group_side_command_replays(capsys):
     # the fixed fpp, wreathcheck and bound commands and all 500 recorded
     # regime commands: limit 0, limsup 1, preperiodic and undecided outcomes
@@ -130,30 +356,6 @@ def test_every_recorded_group_side_command_replays(capsys):
         if (code, out) != (cmd["exit"], cmd["stdout"]):
             mismatches.append(" ".join(cmd["argv"]))
     assert mismatches == []
-
-
-EXPECTED_SWEEP_D3_N10 = """p,f,norm,wild,periodic,total,proportion,bijective,image_sizes
-2,1,2,true,3,3,1.000000,true,3;3
-3,1,3,true,4,4,1.000000,true,4;4
-5,1,5,false,6,6,1.000000,true,6;6
-7,1,7,false,2,8,0.250000,false,8;4;3;2;2
-# top_decade (1, 10] tame: count=2 max=1.000000 median=0.625000
-# top_decade (1, 10] wild: count=2 max=1.000000 median=1.000000
-"""
-
-
-def test_sweep_csv_golden(capsys):
-    code, out, _ = run(capsys, "sweep", "-d", "3", "-e", "1", "-c", "1", "-N", "10")
-    assert code == 0
-    assert out == EXPECTED_SWEEP_D3_N10
-
-
-def test_sweep_known_rows(capsys):
-    code, out, _ = run(capsys, "sweep", "-d", "2", "-e", "1", "-c", "1", "-N", "5")
-    assert code == 0
-    assert "5,1,5,false,4,6,0.666667,false,6;4;4" in out
-    code, out, _ = run(capsys, "sweep", "-d", "3", "-e", "1", "-c", "1", "-N", "7")
-    assert "7,1,7,false,2,8,0.250000,false,8;4;3;2;2" in out
 
 
 def test_sweep_rows_internally_consistent(capsys):
@@ -205,26 +407,12 @@ def test_sweep_json_mirror(capsys):
     assert rows[2]["bijective"] is True
 
 
-def test_sweep_exact_proportions(capsys):
-    code, out, _ = run(capsys, "sweep", "-d", "3", "-e", "1", "-c", "1", "-N", "10",
-                       "--exact")
-    assert code == 0
-    assert "7,1,7,false,2,8,1/4,false,8;4;3;2;2" in out
-
-
 def test_sweep_cyclotomic_setting(capsys):
     code, out, _ = run(capsys, "sweep", "-d", "3", "-e", "3", "-c", "1+z", "-N", "30")
     assert code == 0
     lines = [l for l in out.splitlines()[1:] if not l.startswith("#")]
     norms = [int(l.split(",")[2]) for l in lines]
     assert norms == [4, 7, 7, 13, 13, 19, 19, 25]
-
-
-def test_wreathcheck_pass(capsys):
-    for base, n in [("C2", 2), ("C3", 2), ("S3", 2)]:
-        code, out, _ = run(capsys, "wreathcheck", base, str(n))
-        assert code == 0
-        assert "PASS" in out
 
 
 def test_wreathcheck_inexact_recursion_is_an_internal_error(capsys, monkeypatch):
@@ -238,8 +426,7 @@ def test_wreathcheck_inexact_recursion_is_an_internal_error(capsys, monkeypatch)
 
     monkeypatch.setattr(indicatrix, "iterate_at_zero", widened)
     code, out, err = run(capsys, "wreathcheck", "C2", "2")
-    assert code == 6
-    assert "PASS" not in out
+    assert (code, out) == (6, "")
     assert err.splitlines()[-1].startswith(
         "internal error: RuntimeError: inexact recursion enclosure")
 
@@ -255,58 +442,6 @@ def test_a_value_error_inside_a_command_is_an_internal_error(capsys, monkeypatch
     assert (code, out) == (6, "")
     assert err.startswith("Traceback (most recent call last):")
     assert err.splitlines()[-1] == "internal error: ValueError: internal bug"
-
-
-def test_wreathcheck_cap_exit_5(capsys):
-    code, _, err = run(capsys, "wreathcheck", "C3", "3")
-    assert code == 5
-    assert "resource cap" in err
-
-
-def test_wreathcheck_usage(capsys):
-    code, _, err = run(capsys, "wreathcheck", "Q8", "2")
-    assert code == 2
-
-
-@pytest.mark.parametrize("argv, missing", [
-    (("wreathcheck", "C2"), "N"),
-    (("wreathcheck",), "BASE"),
-])
-def test_wreathcheck_names_a_missing_positional(capsys, argv, missing):
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err == f"usage error: missing required argument {missing}\n"
-    assert "-n" not in err and "--base" not in err
-
-
-def test_bound_table(capsys):
-    code, out, _ = run(capsys, "bound", "-d", "3", "-e", "1", "-n", "1",
-                       "-q", "1000003")
-    assert code == 0
-    assert "|A|=2" in out and "FPP(B_n)<=2/3" in out
-    assert "q=1000003" in out
-
-
-def test_bound_measure(capsys):
-    code, out, _ = run(capsys, "bound", "-d", "3", "-e", "1", "-n", "1",
-                       "-q", "10009", "-c", "1", "--measure")
-    assert code == 0
-    assert "measured=0.333467 ok" in out
-    code, _, err = run(capsys, "bound", "-d", "3", "-e", "1", "-n", "1",
-                       "-q", "10008", "--measure")
-    assert code == 2
-
-
-@pytest.mark.parametrize("e, grid, message", [
-    ("3", "7,3", "--q-grid entry 3 ramifies in Q(zeta_3)"),
-    ("5", "5", "--q-grid entry 5 ramifies in Q(zeta_5)"),
-    ("1", "7,9", "--measure needs prime grid entries, got 9"),
-])
-def test_bound_measure_rejects_a_grid_entry_before_output(capsys, e, grid, message):
-    code, out, err = run(capsys, "bound", "-d", "2", "-e", e, "-n", "1", "-q", grid,
-                         "--measure")
-    assert (code, out) == (2, "")
-    assert err == f"usage error: {message}\n"
 
 
 def test_bound_measure_inert_prime_uses_norm(capsys):
@@ -332,10 +467,6 @@ def test_bound_measure_inert_prime_uses_norm(capsys):
 
 def test_bound_measure_refuses_an_entry_past_the_graph_cap_before_output(capsys,
                                                                         monkeypatch):
-    code, out, err = run(capsys, "bound", "-d", "2", "-n", "1", "-q", "101,20000003",
-                         "--measure")
-    assert (code, out) == (5, "")
-    assert err == "resource cap: graph needs 20000004 points, cap is 20000000\n"
     # refused before the primality test, which would trial-divide for minutes
     def no_trial_division(n):
         raise AssertionError(f"is_prime({n}) called")
@@ -357,16 +488,6 @@ def test_bound_measure_refuses_an_inert_norm_past_the_graph_cap(capsys, monkeypa
     assert err == "resource cap: graph needs 26 points, cap is 20\n"
 
 
-def test_bound_exact_classes(capsys):
-    code, out, _ = run(capsys, "bound", "-d", "3", "-e", "1", "-n", "1",
-                       "-q", "101", "--classes", "exact")
-    assert code == 0
-    assert out.split()[7] == "classes=2"
-    code, out, _ = run(capsys, "bound", "-d", "3", "-e", "1", "-n", "1", "-q", "101")
-    assert code == 0
-    assert out.split()[7] == "classes<=6"  # the safe default prints |B_1|, a bound
-
-
 def test_config_file_preloads_defaults(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("d = 3\ne = 1\nc = 1\nnorm_bound = 10  # comment\n")
@@ -377,18 +498,6 @@ def test_config_file_preloads_defaults(tmp_path, capsys):
     code, out, _ = run(capsys, "sweep", "--config", str(cfg), "-N", "5")
     assert code == 0
     assert "7,1,7" not in out
-
-
-@pytest.mark.parametrize("argv, config, key", [
-    (("sweep", "-d", "2", "-c=1", "-N", "10"), "thread = 2\n", "thread"),
-    (("regime", "-d", "2", "-c=1"), "exact = yes\n", "exact"),
-], ids=["sweep-thread", "regime-exact"])
-def test_config_key_the_command_does_not_declare_is_refused(tmp_path, capsys, argv,
-                                                            config, key):
-    cfg = tmp_path / "perprop.cfg"
-    cfg.write_text(config)
-    code, out, err = run(capsys, *argv, "--config", str(cfg))
-    assert (code, out, err) == (2, "", f"usage error: unknown config key {key!r} for {argv[0]}\n")
 
 
 def test_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
@@ -410,40 +519,6 @@ def test_config_file_is_reread_on_every_call(tmp_path, capsys):
     cfg.write_text("d = 3\nnot a pair\n")
     code, _, err = run(capsys, "regime", "--config", str(cfg), "-d", "2", "-c", "1")
     assert code == 2 and "bad config line" in err
-
-
-@pytest.mark.parametrize("argv, config, option", [
-    (("bound", "-d", "2", "-q", "7,abc"), None, "--q-grid"),
-    (("fpp", "-d", "2", "--epsilon", "abc"), None, "--epsilon"),
-    (("fpp", "-d", "2", "--epsilon", "1/0"), None, "--epsilon"),
-    (("fpp",), "d=abc\n", "-d"),
-], ids=["q-grid-token", "epsilon-text", "epsilon-zero-denominator", "config-d"])
-def test_unparsable_option_value_names_the_option(tmp_path, capsys, argv, config, option):
-    if config is not None:
-        cfg = tmp_path / "perprop.cfg"
-        cfg.write_text(config)
-        argv = (*argv, "--config", str(cfg))
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith(f"usage error: bad value for {option}: ")
-
-
-@pytest.mark.parametrize("argv, typed, config, message", [
-    (("fpp",), ("-d", "abc"), "d=abc", "bad value for -d: 'abc'"),
-    (("sweep", "-d", "2", "-c=1"), ("-N", "1e4"), "norm_bound=1e4",
-     "bad value for --norm-bound: '1e4'"),
-    (("wreathcheck", "C2"), ("abc",), "n=abc", "bad value for N: 'abc'"),
-    (("bound", "-d", "2", "-q", "7"), ("--classes", "foo"), "classes=foo",
-     "--classes must be 'safe' or 'exact'"),
-    (("fpp",), ("-d", "10001"), "d=10001", "-d must be <= 10000"),
-], ids=["fpp-d", "sweep-N", "wreathcheck-N", "bound-classes", "fpp-d-cap"])
-def test_typed_and_config_values_are_checked_alike(tmp_path, capsys, argv, typed,
-                                                   config, message):
-    cfg = tmp_path / "perprop.cfg"
-    cfg.write_text(config + "\n")
-    for source in (typed, ("--config", str(cfg))):
-        code, out, err = run(capsys, *argv, *source)
-        assert (code, out, err) == (2, "", f"usage error: {message}\n"), source
 
 
 # one value per declared option, none of them its default; {tmp} is the test's
@@ -526,29 +601,6 @@ def test_help_keeps_its_strings(capsys, command):
         assert line in text
 
 
-def test_bound_refuses_a_bad_c_without_measure(capsys):
-    code, out, err = run(capsys, "bound", "-d", "2", "-n", "1", "-q", "10", "-c=abc")
-    assert (code, out) == (2, "")
-    assert err.startswith("usage error:")
-
-
-@pytest.mark.parametrize("argv", [
-    ("regime", "-d", "2", "-e", "5", "-c=abc"),
-    ("sweep", "-d", "2", "-e", "5", "-c=abc", "-N", "10"),
-    ("bound", "-d", "2", "-e", "5", "-q", "11", "-c=abc", "--measure"),
-], ids=["regime", "sweep", "bound"])
-def test_a_c_that_is_no_cyclotomic_literal_names_c(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert (code, out, err) == (2, "", "usage error: bad value for -c: 'abc'\n")
-
-
-def test_fpp_degree_past_the_cap_is_refused(capsys):
-    for argv in (("fpp", "-d", "10001", "-n", "1"), ("bound", "-d", "10001", "-q", "7")):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert err == "usage error: -d must be <= 10000\n"
-
-
 def test_sweep_past_the_graph_cap_is_refused_before_the_sieve(capsys, monkeypatch):
     monkeypatch.setattr(dynamics, "MEMORY_CAP_POINTS", 100)
     stream, streamed = residue_fields.prime_stream, []
@@ -583,15 +635,6 @@ def test_fpp_level_past_the_step_cap_is_refused_before_output(capsys):
                    f"cap is {indicatrix.MAX_ITERATION_STEPS}\n")
 
 
-def test_exact_classes_over_cap_is_a_resource_cap(capsys):
-    code, out, err = run(capsys, "bound", "-d", "3", "-e", "1", "-n", "3", "-q", "10",
-                         "--classes", "exact")
-    assert code == 5
-    assert out == ""
-    assert err.startswith("resource cap:")
-    assert "3188646" in err
-
-
 def test_fmt6_rounds_half_even_at_any_size():
     rng = random.Random(6)
     values = [F(0), F(1, 2 * 10**6), F(3, 2 * 10**6), F(10**22), F(2**127, 3)]
@@ -607,22 +650,6 @@ def test_fmt6_rounds_half_even_at_any_size():
         assert fmt6(fr) == f"{q // 10**6}.{q % 10**6:06d}", fr
 
 
-def test_bound_with_a_group_order_past_double_digits(capsys):
-    # |B_7| = 2^127: the error terms are far beyond 10^22
-    code, out, err = run(capsys, "bound", "-d", "2", "-n", "7", "-q", "10,100003")
-    assert (code, err) == (0, "")
-    assert "|B_n|=170141183460469231731687303715884105728" in out
-    assert [line.split()[0] for line in out.splitlines()[1:]] == ["q=10", "q=100003"]
-
-
-def test_wreath_order_past_the_digit_limit_is_a_resource_cap(capsys):
-    for argv in (["wreathcheck", "C2", "14"], ["bound", "-d", "2", "-n", "14", "-q", "10"]):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (5, "")
-        assert err.startswith("resource cap: ")
-        assert "4300 decimal digits" in err
-
-
 @pytest.mark.parametrize("argv", [
     ["regime", "-d", "2", "-e", "3"],
     ["sweep", "-d", "2", "-e", "3", "-N", "60"],
@@ -633,9 +660,6 @@ def test_c_with_leading_minus(capsys, argv):
     code, out, _ = run(capsys, *argv, "-c", "-1+z")
     assert (code, out) == run(capsys, *argv, "-c=-1+z")[:2]
     assert code == 0 and out
-
-
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def test_decay_experiment_script_runs(tmp_path):
