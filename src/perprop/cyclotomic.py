@@ -8,10 +8,11 @@ monic long division; the residue fields reduce their results mod p.
 
 Complex embeddings (zeta -> exp(2*pi*i*m/e) for units m mod e) are given
 only as dyadic integer enclosures of their real and imaginary parts and of
-|value|^2 (integer numerators over a power of two), built from Taylor series
-for cos/sin with certified remainders (pi itself enclosed via Machin's
-formula).  They are the one path on which the critical-orbit radius test
-is decided; no floating point is involved.
+|value|^2 (integer numerators over a power of two), one embedding at a time,
+summed in midpoint-radius form from cos/sin enclosures symmetric about their
+midpoints: Taylor series with certified remainders (pi itself enclosed via
+Machin's formula).  They are the one path on which the critical-orbit radius
+test is decided; no floating point is involved.
 """
 
 from __future__ import annotations
@@ -222,12 +223,12 @@ def pi_interval(bits: int) -> tuple[Fraction, Fraction]:
     return (Fraction(value - err, 1 << prec), Fraction(value + err, 1 << prec))
 
 
-def _fx_mul(a: tuple[int, int], b: tuple[int, int], scale: int) -> tuple[int, int]:
-    # fixed-point product with error units: value in [(v-u), (v+u)] / scale
+def _fx_mul(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, int]:
+    # fixed-point product with error units: value in [(v-u), (v+u)] / 2^prec
     va, ua = a
     vb, ub = b
-    v = va * vb // scale
-    u = (abs(va) * ub + abs(vb) * ua + ua * ub) // scale + 2
+    v = va * vb >> prec
+    u = (abs(va) * ub + abs(vb) * ua + ua * ub >> prec) + 2
     return v, u
 
 
@@ -236,6 +237,7 @@ def cos_sin_2pi(j: int, e: int, bits: int) -> tuple[tuple[int, int], tuple[int, 
     """Enclosures of cos(2*pi*j/e) and sin(2*pi*j/e), as integer numerators
     (lo, hi) over 2^(bits + GUARD_BITS).
 
+    Both are symmetric about their midpoint, with half-width at least 2.
     Taylor series in integer fixed point (value plus error-unit bookkeeping);
     the tail is bounded by twice the next term once the term ratio drops
     below one half.  Pure integer arithmetic keeps high precisions cheap.
@@ -247,7 +249,7 @@ def cos_sin_2pi(j: int, e: int, bits: int) -> tuple[tuple[int, int], tuple[int, 
     pi_v = (pi_lo.numerator << prec) // pi_lo.denominator
     pi_u = ((pi_hi - pi_lo).numerator << prec) // (pi_hi - pi_lo).denominator + 2
     x = ((2 * j) * pi_v // e, (2 * j) * pi_u // e + 2)
-    x2 = _fx_mul(x, x, scale)
+    x2 = _fx_mul(x, x, prec)
     x2_hi = x2[0] + x2[1]
     cos_v, cos_u = scale, 0
     sin_v, sin_u = x
@@ -259,16 +261,16 @@ def cos_sin_2pi(j: int, e: int, bits: int) -> tuple[tuple[int, int], tuple[int, 
     while True:
         k += 1
         sign = -sign
-        ct = _fx_mul(ct, x2, scale)
+        ct = _fx_mul(ct, x2, prec)
         ct = (ct[0] // ((2 * k - 1) * (2 * k)), ct[1] // ((2 * k - 1) * (2 * k)) + 2)
         cos_v += sign * ct[0]
         cos_u += ct[1]
-        st = _fx_mul(st, x2, scale)
+        st = _fx_mul(st, x2, prec)
         st = (st[0] // ((2 * k) * (2 * k + 1)), st[1] // ((2 * k) * (2 * k + 1)) + 2)
         sin_v += sign * st[0]
         sin_u += st[1]
-        c_next = (abs(ct[0]) + ct[1]) * x2_hi // scale // ((2 * k + 1) * (2 * k + 2)) + 1
-        s_next = (abs(st[0]) + st[1]) * x2_hi // scale // ((2 * k + 2) * (2 * k + 3)) + 1
+        c_next = ((abs(ct[0]) + ct[1]) * x2_hi >> prec) // ((2 * k + 1) * (2 * k + 2)) + 1
+        s_next = ((abs(st[0]) + st[1]) * x2_hi >> prec) // ((2 * k + 2) * (2 * k + 3)) + 1
         if (2 * k + 1) * (2 * k + 2) * scale >= 2 * x2_hi and max(c_next, s_next) <= (
             1 << 30
         ):
@@ -285,27 +287,25 @@ def abs_sq_shift(bits: int) -> int:
     return 2 * (bits + GUARD_BITS)
 
 
-def embedding_intervals(a, e: int, bits: int) -> list[tuple[int, int, int, int]]:
-    """Enclosures (re_lo, re_hi, im_lo, im_hi) of sigma_m(a) for all units m
-    mod e, as integer numerators over 2^(bits + GUARD_BITS)."""
+def embedding_intervals(a, e: int, bits: int):
+    """Yield the enclosure (re_lo, re_hi, im_lo, im_hi) of sigma_m(a), one
+    unit m mod e at a time, as integer numerators over 2^(bits + GUARD_BITS).
+    Each is summed in midpoint-radius form, sum c_i mid_i +- sum |c_i| rad_i,
+    from the symmetric cos/sin enclosures: one large product per term."""
     unit = 1 << (bits + GUARD_BITS)
-    out = []
     for m in units_mod(e):
-        re_lo = re_hi = im_lo = im_hi = 0
+        re_mid = re_rad = im_mid = im_rad = 0
         for i, c in enumerate(a):
             if c == 0:
                 continue
             (cos_lo, cos_hi), (sin_lo, sin_hi) = (
                 cos_sin_2pi(m * i % e, e, bits) if e > 1 else ((unit, unit), (0, 0))
             )
-            if c < 0:
-                cos_lo, cos_hi, sin_lo, sin_hi = cos_hi, cos_lo, sin_hi, sin_lo
-            re_lo += c * cos_lo
-            re_hi += c * cos_hi
-            im_lo += c * sin_lo
-            im_hi += c * sin_hi
-        out.append((re_lo, re_hi, im_lo, im_hi))
-    return out
+            re_mid += c * (cos_lo + cos_hi >> 1)
+            re_rad += abs(c) * (cos_hi - cos_lo >> 1)
+            im_mid += c * (sin_lo + sin_hi >> 1)
+            im_rad += abs(c) * (sin_hi - sin_lo >> 1)
+        yield re_mid - re_rad, re_mid + re_rad, im_mid - im_rad, im_mid + im_rad
 
 
 def embedding_abs_sq_intervals(a, e: int, bits: int) -> list[tuple[int, int]]:

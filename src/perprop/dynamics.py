@@ -323,7 +323,7 @@ def _forward_images(g: FunctionalGraph) -> Iterator[np.ndarray]:
     while True:
         mask[:] = False
         mask[g.successor[current]] = True
-        nxt = np.flatnonzero(mask)
+        nxt = mask.nonzero()[0]
         yield nxt
         if nxt.size == current.size:
             return

@@ -235,9 +235,14 @@ def _radius_rung(z, c, e: int, bits: int) -> bool | None:
     imaginary enclosures are first compared with the radius itself (for
     integers x, r >= 0, x^2 > r^2 iff x > r), so only numbers no larger than
     the radius are ever squared, never an iterate's huge endpoints.
+
+    The boxes are drawn one at a time until the verdict is known (no box is
+    both inside and outside, as r_lo <= r_hi).  For e > 1 each cos/sin
+    enclosure has half-width >= 2, so each box is at least 4 max |z_i| wide:
+    once 2 max |z_i| > r_lo none can be inside, and the first box not
+    certainly outside settles None.  For e = 1 the box is exact.
     """
     r_lo, r_hi, r_lo_sq, r_hi_sq = _radius_bounds(c, e, bits)
-    boxes = cyc.embedding_intervals(z, e, bits)
 
     def outside(re_lo, re_hi, im_lo, im_hi) -> bool:
         # smallest |Re| and |Im| over the enclosure
@@ -249,11 +254,16 @@ def _radius_rung(z, c, e: int, bits: int) -> bool | None:
         x, y = max(-re_lo, re_hi), max(-im_lo, im_hi)
         return x <= r_lo and y <= r_lo and x * x + y * y <= r_lo_sq
 
-    if all(outside(*box) for box in boxes):
-        return True
-    if any(inside(*box) for box in boxes):
-        return False
-    return None
+    none_inside = e > 1 and 2 * max(map(abs, z)) > r_lo
+    verdict = True
+    for box in cyc.embedding_intervals(z, e, bits):
+        if inside(*box):
+            return False
+        if not outside(*box):
+            if none_inside:
+                return None
+            verdict = None
+    return verdict
 
 
 def _exceeds_radius(z, c, e: int) -> bool:

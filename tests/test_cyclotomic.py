@@ -15,6 +15,7 @@ from perprop.cyclotomic import (
     cyc_pow,
     cyclotomic_polynomial,
     embedding_abs_sq_intervals,
+    embedding_intervals,
     euler_phi,
     format_cyclotomic,
     parse_cyclotomic,
@@ -22,6 +23,7 @@ from perprop.cyclotomic import (
     reduce_mod_cyclotomic,
     units_mod,
 )
+from perprop.powermap import _SLOW_BITS
 
 F = Fraction
 
@@ -110,6 +112,51 @@ def test_cos_sin_enclosures_match_cmath(j, e):
     assert float(clo) - 1e-12 <= z.real <= float(chi) + 1e-12
     assert float(slo) - 1e-12 <= z.imag <= float(shi) + 1e-12
     assert chi - clo < F(1, 2**48)
+
+
+def test_cos_sin_enclosures_are_symmetric_and_at_least_four_wide():
+    # the radius check sums boxes from midpoints and half-widths, and rules
+    # out "inside" from half-widths of at least 2 (e > 1)
+    for e in range(2, 13):
+        for j in range(e):
+            for bits in _SLOW_BITS:
+                for lo, hi in cos_sin_2pi(j, e, bits):
+                    assert (lo + hi) % 2 == 0 and hi - lo >= 4, (j, e, bits)
+
+
+def _four_product_boxes(a, e, bits):
+    """Reference: every box endpoint summed from the cos/sin endpoints,
+    swapped for negative coefficients, as before the midpoint-radius sums."""
+    unit = 1 << (bits + GUARD_BITS)
+    out = []
+    for m in units_mod(e):
+        re_lo = re_hi = im_lo = im_hi = 0
+        for i, c in enumerate(a):
+            if c == 0:
+                continue
+            (cos_lo, cos_hi), (sin_lo, sin_hi) = (
+                cos_sin_2pi(m * i % e, e, bits) if e > 1 else ((unit, unit), (0, 0))
+            )
+            if c < 0:
+                cos_lo, cos_hi, sin_lo, sin_hi = cos_hi, cos_lo, sin_hi, sin_lo
+            re_lo += c * cos_lo
+            re_hi += c * cos_hi
+            im_lo += c * sin_lo
+            im_hi += c * sin_hi
+        out.append((re_lo, re_hi, im_lo, im_hi))
+    return out
+
+
+def test_midpoint_boxes_equal_four_product_boxes():
+    # seeded coefficients of up to 50,000 bits, zeros and signs mixed, for
+    # every conductor 1..12 at every rung of the radius check
+    rng = random.Random(22)
+    for e in range(1, 13):
+        for top in (2, 64, 3000, 50_000):
+            a = tuple(rng.choice((-1, 0, 1)) * rng.getrandbits(rng.randint(1, top))
+                      for _ in range(euler_phi(e)))
+            for bits in _SLOW_BITS:
+                assert list(embedding_intervals(a, e, bits)) == _four_product_boxes(a, e, bits)
 
 
 def _embedding_abs(a, e, m):

@@ -456,6 +456,54 @@ def test_radius_rung_matches_squared_comparison(monkeypatch):
     assert min(outcomes.values()) > 0
 
 
+def test_undecided_rung_stops_at_the_first_box_not_outside(monkeypatch):
+    # every iterate past 10,000 bits of the first orbit of each slow stratum
+    # of the exact_group goldens: each rung is undecided, draws fewer than
+    # phi(e) boxes of the iterate, and decides as the squared comparison does
+    golden = json.loads(GOLDEN_EXACT_GROUP.read_text())
+    boxes = cyc.embedding_intervals
+    drawn = 0
+
+    def spy(z, e, bits):
+        nonlocal drawn
+        for box in boxes(z, e, bits):
+            drawn += 1
+            yield box
+
+    monkeypatch.setattr(cyc, "embedding_intervals", spy)
+    rungs = 0
+    for stratum in golden["regime_slow_strata"]:
+        _, _, d, _, e, c_arg = stratum[0]["argv"]
+        s = CycSetting.make(int(d), int(e), c_arg.removeprefix("-c="))
+        z = s.c
+        while sum(abs(x).bit_length() for x in z) <= ORBIT_BIT_BUDGET:
+            if max(abs(x).bit_length() for x in z) > 10_000:
+                for bits in _SLOW_BITS:
+                    _radius_bounds(s.c, s.e, bits)  # c's boxes are not counted
+                    drawn = 0
+                    assert _radius_rung(z, s.c, s.e, bits) is None
+                    assert drawn < cyc.euler_phi(s.e), (s, bits)
+                    assert _squared_rung(z, s.c, s.e, bits) is None
+                    rungs += 1
+            z = cyc.cyc_add(cyc.cyc_pow(z, s.d, s.e), s.c)
+    assert rungs == 40  # ten iterates, four rungs each
+
+
+def test_shortcut_needs_e_above_one_and_a_wide_iterate(monkeypatch):
+    # two stand-in boxes, the first neither inside nor outside, the second
+    # inside: the walk settles None at the first box only for e > 1 and
+    # 2 max |z_i| > r_lo; for e = 1, or a smaller iterate, it reaches False
+    for e, c in ((1, (1,)), (3, (1, 0))):
+        r_lo, r_hi = _radius_bounds(c, e, _SLOW_BITS[0])[:2]
+        fake = [(0, 2 * r_hi, 0, 0), (0, 0, 0, 0)]
+        monkeypatch.setattr(cyc, "embedding_intervals", lambda z, e, bits: iter(fake))
+        wide = (r_lo,) + (0,) * (len(c) - 1)
+        narrow = (r_lo // 2,) + (0,) * (len(c) - 1)
+        assert _radius_rung(wide, c, e, _SLOW_BITS[0]) is (None if e > 1 else False)
+        assert _radius_rung(narrow, c, e, _SLOW_BITS[0]) is False
+        monkeypatch.undo()
+
+
 def test_mixed_escape_settles_as_undecided():
     # |1 + zeta_5^2| < 1: the orbit stays bounded in that embedding while
     # exploding in another, so no all-embeddings certificate can exist; the
