@@ -34,12 +34,12 @@ from .wreath import coset_wreath, iterated_wreath, wreath_order
 from .powermap import (
     CosetStatus,
     CycSetting,
-    GaloisData,
     Preperiodicity,
     RegimeReport,
-    build_B1,
     classify_regime,
+    coset_gcd,
     coset_indicatrix,
+    coset_permset,
     coset_status,
     galois_A,
     zero_orbit_report,

@@ -7,7 +7,8 @@ Subcommands:
   wreathcheck  brute-force wreath enumeration vs the indicatrix recursion
   bound        proportion bound on a grid of norms, optionally vs measurement
 
-Exit codes: 0 success, 2 usage, 3 hypothesis failure, 4 I/O failure,
+Exit codes: 0 success, 1 a failed check (wreathcheck FAIL, a bound
+--measure VIOLATION), 2 usage, 3 hypothesis failure, 4 I/O failure,
 5 resource cap, 6 internal error (a fault in perprop, reported with its
 traceback).  Proportions print with 6 decimal places (round-half-even);
 --exact (fpp and sweep) switches to p/q.  Each option is declared once, in
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 import traceback
@@ -133,16 +135,17 @@ EXACT = Option(("--exact",), _bool_conv, False,
 # -- fpp ----------------------------------------------------------------------
 
 def coset_fpp_enclosures(d: int, e: int, n: int):
-    """Yield (m, phi, lo, hi) for each multiplier m of the model group over
-    Q(zeta_e): phi is the indicatrix of m's level-1 coset and [lo, hi]
-    encloses 1 - phi^n(0), the fixed-point proportion of its n-th iterate.
-    phi depends on m only through gcd(m - 1, d), so each distinct phi is
-    iterated once."""
-    iterate = functools.cache(lambda phi: ind.iterate_at_zero(phi, n))
+    """Yield (m, g, lo, hi) for each multiplier m of the model group over
+    Q(zeta_e): g = coset_gcd(m, d) gives m's level-1 coset its indicatrix
+    phi_g, and [lo, hi] encloses 1 - phi_g^n(0), the fixed-point proportion
+    of its n-th iterate.  Each distinct g is iterated once."""
+    enclosures = {}
     for m in pm.galois_A(d, e):
-        phi = pm.coset_indicatrix(m, d)
-        iv = iterate(phi)
-        yield m, phi, 1 - iv.hi, 1 - iv.lo
+        g = pm.coset_gcd(m, d)
+        if g not in enclosures:
+            iv = ind.iterate_at_zero(pm.coset_indicatrix(g), n)
+            enclosures[g] = 1 - iv.hi, 1 - iv.lo
+        yield m, g, *enclosures[g]
 
 
 def _setting(d: int, e: int, c: str) -> pm.CycSetting:
@@ -159,23 +162,25 @@ def _show_enclosure(lo: Fraction, hi: Fraction, exact_form: bool) -> str:
 def cmd_fpp(d: int, e: int, n: int, epsilon: Fraction | None, exact: bool) -> int:
     if epsilon is not None and not 0 < epsilon < 1:
         raise UsageError("epsilon must be in (0, 1)")
-    index = functools.cache(lambda phi: ind.epsilon_index(phi, epsilon))
-    agg_lo = agg_hi = Fraction(0)
-    count = 0
+    texts, enclosures, counts = {}, {}, {}  # by g: coset lines, fpp_n, multipliers
     lines = []  # printed once every N_eps is known, so a resource cap prints nothing
-    for m, phi, lo, hi in coset_fpp_enclosures(d, e, n):
-        agg_lo += lo
-        agg_hi += hi
-        count += 1
-        lines.append(f"coset m={m}: phi = {ind.to_text(phi)}")
-        lines.append(f"coset m={m}: status = {pm.coset_status(m, d).value}")
-        lines.append(f"coset m={m}: fpp_n = {_show_enclosure(lo, hi, exact)}")
-        if epsilon is not None:
-            idx = index(phi)
-            shown = "diverges" if idx is ind.DIVERGES else str(idx)
-            lines.append(f"coset m={m}: N_eps({epsilon}) = {shown}")
-    lines.append(f"aggregate FPP(B_n), n={n}: "
-                 f"{_show_enclosure(agg_lo / count, agg_hi / count, exact)}")
+    for m, g, lo, hi in coset_fpp_enclosures(d, e, n):
+        if g not in texts:
+            phi = pm.coset_indicatrix(g)
+            texts[g] = [f"phi = {ind.to_text(phi)}",
+                        f"status = {pm.coset_status(m, d).value}",
+                        f"fpp_n = {_show_enclosure(lo, hi, exact)}"]
+            if epsilon is not None:
+                idx = ind.epsilon_index(phi, epsilon)
+                shown = "diverges" if idx is ind.DIVERGES else str(idx)
+                texts[g].append(f"N_eps({epsilon}) = {shown}")
+            enclosures[g] = lo, hi
+        counts[g] = counts.get(g, 0) + 1
+        lines.extend(f"coset m={m}: {text}" for text in texts[g])
+    count = sum(counts.values())
+    agg_lo = sum(counts[g] * lo for g, (lo, _) in enclosures.items()) / count
+    agg_hi = sum(counts[g] * hi for g, (_, hi) in enclosures.items()) / count
+    lines.append(f"aggregate FPP(B_n), n={n}: {_show_enclosure(agg_lo, agg_hi, exact)}")
     print("\n".join(lines))
     return EXIT_OK
 
@@ -293,7 +298,8 @@ def cmd_sweep(d: int, e: int, c: str, norm_bound: int, output: str, threads: int
     if threads == 1:
         rows = [compute_row(setting, P) for P in primes]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        # the pool starts a worker per queued row while none is idle
+        with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
             rows = list(pool.map(lambda P: compute_row(setting, P), primes))
     if json:
         payload = {

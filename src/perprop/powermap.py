@@ -3,9 +3,8 @@
 The splitting field of x^d + c - t picks up the d-th roots of unity, and the
 Galois group over the base is generated by affine maps i -> m*i + j on Z/d:
 translations form the geometric part (a d-cycle group), while the multiplier
-m ranges over the units fixing the base field's roots of unity.  An affine
-element has a fixed point exactly when g = gcd(m-1, d) divides j, and then
-fixes g points.  That rule gives each coset's indicatrix in closed form (the
+m ranges over the units fixing the base field's roots of unity.  One number
+per multiplier, coset_gcd, gives each coset's indicatrix in closed form (the
 explicit cosets remain as an oracle) and drives the trichotomy: the periodic
 proportion of the reduced maps always has liminf 0; it tends to 0 when every
 multiplier coset contains a fixed-point-free element, and has limsup 1 when
@@ -82,26 +81,6 @@ def _check_degree_and_conductor(d: int, e: int) -> None:
         raise ValueError("need conductor e >= 1")
 
 
-@dataclass(frozen=True)
-class GaloisData:
-    """The model's degree d and conductor e; its multipliers are A."""
-
-    d: int
-    e: int
-
-    @property
-    def A(self) -> tuple[int, ...]:
-        return galois_A(self.d, self.e)
-
-    def coset_permset(self, m: int) -> PermSet:
-        """The coset {i -> m*i + j : j} as a set of permutations of Z/d: row j
-        is (m*i + j) mod d."""
-        if m not in self.A:
-            raise ValueError(f"multiplier {m} not in A={self.A}")
-        i = np.arange(self.d)
-        return PermSet((m * i + i[:, None]) % self.d)
-
-
 def galois_A(d: int, e: int) -> tuple[int, ...]:
     """Units m mod d with m = 1 mod gcd(e, d): the multipliers available over
     Q(zeta_e).  (Intersecting cyclotomic fields leaves exactly the residues
@@ -113,11 +92,11 @@ def galois_A(d: int, e: int) -> tuple[int, ...]:
     return tuple(m for m in range(1, d) if gcd(m, d) == 1 and m % g == 1 % g)
 
 
-def build_B1(d: int, e: int) -> GaloisData:
-    """The level-1 model {i -> m*i + j : m in A, j in Z/d} for x^d + c over
-    Q(zeta_e), whatever c is; its cosets are built on demand."""
-    perms.check_degree(d)
-    return GaloisData(d=d, e=e)
+def coset_permset(d: int, m: int) -> PermSet:
+    """Multiplier m's coset {i -> m*i + j : j in Z/d} as a set of permutations
+    of Z/d: row j is (m*i + j) mod d."""
+    i = np.arange(d)
+    return PermSet((m * i + i[:, None]) % d)
 
 
 def b_n_permset(d: int, e: int, n: int) -> PermSet:
@@ -125,41 +104,40 @@ def b_n_permset(d: int, e: int, n: int) -> PermSet:
     the union over multipliers of the n-fold wreath coset of each multiplier's
     level-1 coset.  Brute force, for exact conjugacy-class counts, of at most
     perms.ENUMERATION_CAP elements."""
-    data = build_B1(d, e)
-    expected = len(data.A) * wreath.wreath_order(d, d, n)
+    perms.check_degree(d)
+    A = galois_A(d, e)
+    expected = len(A) * wreath.wreath_order(d, d, n)
     if expected > perms.ENUMERATION_CAP:
         raise ResourceCapError(
             f"B_n enumeration needs {expected} elements, cap is {perms.ENUMERATION_CAP}"
         )
-    cosets = [wreath.iterated_wreath(data.coset_permset(m), n).images for m in data.A]
+    cosets = [wreath.iterated_wreath(coset_permset(d, m), n).images for m in A]
     return PermSet(np.concatenate(cosets), kind="group")
 
 
-def coset_status(m: int, d: int) -> CosetStatus:
-    """Whether every translate of multiplier m fixes a point.
+def coset_gcd(m: int, d: int) -> int:
+    """g = gcd(m-1, d), which decides multiplier m's coset {i -> m*i + j : j}.
 
-    i -> m*i + j has a fixed point iff d | (m-1)i + j for some i, i.e. iff
-    gcd(m-1, d) divides j; so the whole coset fixes points iff gcd(m-1,d)=1.
-    Otherwise g = gcd(m-1, d) > 1 does not divide 1, so j = 1 is always a
-    fixed-point-free element of the coset.
+    i -> m*i + j fixes i iff (m-1)i = -j mod d, which is solvable iff g
+    divides j, and then has exactly g solutions i.  So the j divisible by g,
+    a 1/g share, fix g points and the rest fix none: the coset's indicatrix
+    is (1 - 1/g) + x^g/g.  The whole coset fixes points iff g = 1; otherwise
+    g > 1 does not divide 1, so j = 1 is a fixed-point-free element.
     """
     if gcd(m, d) != 1:
         raise ValueError(f"multiplier {m} not a unit mod {d}")
-    if gcd(m - 1, d) == 1:
+    return gcd(m - 1, d)
+
+
+def coset_status(m: int, d: int) -> CosetStatus:
+    """Whether every translate of multiplier m fixes a point (see coset_gcd)."""
+    if coset_gcd(m, d) == 1:
         return CosetStatus.ALL_HAVE_FIXED_POINTS
     return CosetStatus.HAS_FIXED_POINT_FREE
 
 
-def coset_indicatrix(m: int, d: int) -> IndicatrixPoly:
-    """Indicatrix of multiplier m's coset {i -> m*i + j : j in Z/d}.
-
-    With g = gcd(m-1, d), i -> m*i + j fixes a point iff g divides j, and then
-    (m-1)i = -j mod d has exactly g solutions i.  So the j divisible by g, a
-    1/g share, fix g points and the rest fix none: phi_m(x) = (1 - 1/g) + x^g/g.
-    """
-    if gcd(m, d) != 1:
-        raise ValueError(f"multiplier {m} not a unit mod {d}")
-    g = gcd(m - 1, d)
+def coset_indicatrix(g: int) -> IndicatrixPoly:
+    """(1 - 1/g) + x^g/g, the indicatrix of every coset whose coset_gcd is g."""
     return IndicatrixPoly({0: 1 - Fraction(1, g), g: Fraction(1, g)})
 
 

@@ -44,9 +44,10 @@ from perprop.powermap import (
     CosetStatus,
     CycSetting,
     Preperiodicity,
-    build_B1,
     classify_regime,
+    coset_permset,
     coset_status,
+    galois_A,
 )
 from perprop.residue_fields import (
     make_field,
@@ -117,12 +118,11 @@ def test_criterion_02_burnside_and_derivative_identities():
 
 
 def test_criterion_03_dichotomy():
-    data = build_B1(3, 1)
     positive_cases = [
         indicatrix_of(cyclic_group(2)),
         indicatrix_of(cyclic_group(3)),
         indicatrix_of(symmetric_group(3)),
-        indicatrix_of(data.coset_permset(1)),
+        indicatrix_of(coset_permset(3, 1)),
     ]
     for phi in positive_cases:
         assert value_at(phi, 0) > 0
@@ -133,7 +133,7 @@ def test_criterion_03_dichotomy():
             prev_hi = iv.hi
         for eps in (F(1, 2), F(1, 10), F(1, 100)):
             assert isinstance(epsilon_index(phi, eps), int)
-    all_fixed = indicatrix_of(data.coset_permset(2))  # m=2 coset of x^3 + c
+    all_fixed = indicatrix_of(coset_permset(3, 2))  # m=2 coset of x^3 + c
     assert coset_status(2, 3) is CosetStatus.ALL_HAVE_FIXED_POINTS
     assert value_at(all_fixed, 0) == 0
     for eps in (F(1, 2), F(1, 10), F(1, 100)):
@@ -267,17 +267,17 @@ def test_criterion_08_limsup_evidence_regime_c():
 def test_criterion_09_bound_soundness_end_to_end():
     started = time.monotonic()
     setting = CycSetting.make(3, 1, 1)
-    data = build_B1(setting.d, setting.e)
+    A = galois_A(setting.d, setting.e)
     bounds_by_n = {}
     for n in (1, 2):
-        order = len(data.A) * wreath_order(3, 3, n)
+        order = len(A) * wreath_order(3, 3, n)
         total = F(0)
-        for m in data.A:
-            iv = iterate_at_zero(indicatrix_of(data.coset_permset(m)), n)
+        for m in A:
+            iv = iterate_at_zero(indicatrix_of(coset_permset(setting.d, m)), n)
             assert iv.lo == iv.hi
             total += 1 - iv.lo
-        fpp_value = total / len(data.A)
-        bounds_by_n[n] = (order, len(data.A) * fpp_value)
+        fpp_value = total / len(A)
+        bounds_by_n[n] = (order, len(A) * fpp_value)
     checked = violations = 0
     for p in primes_up_to(99_999):
         if p <= 1000:

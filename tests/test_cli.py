@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from perprop import dynamics, indicatrix, powermap, residue_fields
+from perprop import cli, dynamics, indicatrix, powermap, residue_fields
 from perprop.cli import COMMANDS, _bool_conv, fmt6, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -210,6 +211,17 @@ ROWS = {
     "group_side_output_pinned_by_hash[fpp-d10000]": Row(
         "fpp -d 10000 -n 3",
         sha256="9625cd696d6f24613cc7423df7bd6f0b28d4cb70c72684082b916ed254952263"),
+    # |A| = 1152 multipliers: the exact aggregate over every coset, and the
+    # per-coset text of many multipliers sharing one g
+    "group_side_output_pinned_by_hash[fpp-d5040-exact]": Row(
+        "fpp -d 5040 -n 1 --exact",
+        sha256="22ce6ebdff0c29c1f3bff1635051b228b5a885b870f3f7266d59a9dc35f9398f"),
+    "group_side_output_pinned_by_hash[fpp-d5040-epsilon]": Row(
+        "fpp -d 5040 -n 2 --epsilon 1/1000",
+        sha256="301141f9369d31ebf91a12a440ab575be00d920769950ab192b7a2d45bfb3aed"),
+    "group_side_output_pinned_by_hash[bound-d10000]": Row(
+        "bound -d 10000 -n 1 -q 10009",
+        sha256="5493519a51188b89698e54abc201b9e55f5fa86d197d529fbedefebabac47b85"),
     # a command that fails prints no partial result
     "failed_command_prints_nothing[fpp-epsilon]": Row(
         f"fpp -d 2 -n 1 --epsilon 1/{10**100}", 5,
@@ -381,6 +393,32 @@ def test_sweep_threads_identical_output(capsys):
                              "-N", "50", "--threads", k)
         assert code == 0
         assert multi == single
+
+
+def test_sweep_threads_are_clamped_to_the_cpu_count(capsys, monkeypatch):
+    # a stand-in pool that records its size and maps in the calling thread
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", InlinePool)
+    argv = ("sweep", "-d", "3", "-e", "1", "-c", "1", "-N", "50")
+    code, single, _ = run(capsys, *argv)
+    assert code == 0 and sizes == []
+    code, many, _ = run(capsys, *argv, "--threads", "5000")
+    assert code == 0 and many == single
+    assert sizes == [min(5000, os.cpu_count() or 1)]
 
 
 def test_sweep_output_file_and_io_error(tmp_path, capsys):
@@ -681,3 +719,14 @@ def test_bound_vs_measured_script_runs():
     assert "VIOLATION" not in done.stdout
     rows = [line for line in done.stdout.splitlines() if " measured=" in line]
     assert len(rows) == 2 and all(row.endswith(" ok") for row in rows)
+
+
+def test_every_python_file_parses_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10
+    sources = [path for top in ("src", "scripts", "tests")
+               for path in sorted((ROOT / top).rglob("*.py"))]
+    assert len(sources) > 20
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+    with pytest.raises(SyntaxError):  # 3.11 syntax is refused
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))

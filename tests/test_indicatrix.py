@@ -20,7 +20,13 @@ from perprop.indicatrix import (
     value_at,
 )
 from perprop.perms import Permutation, cyclic_group, fpp, permset, symmetric_group
-from perprop.powermap import b_n_permset, build_B1, coset_indicatrix, galois_A
+from perprop.powermap import (
+    b_n_permset,
+    coset_gcd,
+    coset_indicatrix,
+    coset_permset,
+    galois_A,
+)
 from perprop.wreath import iterated_wreath
 
 F = Fraction
@@ -129,11 +135,9 @@ _rng = random.Random(20161)
 # d = 12 and d = 60 and one with g = 100, whose gaps exceed 1; a step of degree
 # g carries g * wp bits, so those take fewer steps
 STEP_CASES = [(_random_indicatrix(_rng, _rng.randrange(7)), 50) for _ in range(200)] + [
-    (indicatrix_of(data.coset_permset(m)), 50)
-    for data in (build_B1(d, 1) for d in (2, 3, 5))
-    for m in data.A
-] + [(coset_indicatrix(m, d), 10) for d in (12, 60) for m in galois_A(d, 1)] + [
-    (coset_indicatrix(1, 100), 10)
+    (indicatrix_of(coset_permset(d, m)), 50) for d in (2, 3, 5) for m in galois_A(d, 1)
+] + [(coset_indicatrix(coset_gcd(m, d)), 10) for d in (12, 60) for m in galois_A(d, 1)] + [
+    (coset_indicatrix(100), 10)
 ]
 
 
@@ -195,8 +199,7 @@ def _moments(phi):
 # C3 are the cosets of g = 2 and 3, and the m = 2 coset of d = 3 is x, as g = 1
 SKIP_CASES = list(dict.fromkeys([_binomial(g) for g in range(1, 13)] + [
     PHI_C2, PHI_C3, PHI_S3, indicatrix_of(b_n_permset(2, 1, 2))
-] + [indicatrix_of(iterated_wreath(build_B1(3, 1).coset_permset(m), 2))
-     for m in build_B1(3, 1).A]))
+] + [indicatrix_of(iterated_wreath(coset_permset(3, m), 2)) for m in galois_A(3, 1)]))
 
 
 @pytest.mark.parametrize("phi", [_binomial(g) for g in range(2, 13)] + [
@@ -229,8 +232,8 @@ def test_parabolic_constants_of_a_coset():
 
 
 def test_skip_ahead_equals_the_scan(monkeypatch):
-    # the coset indicatrices of g <= 12 cover every build_B1 coset of these d, e
-    assert {coset_indicatrix(m, d) for d in range(2, 8) for e in (1, 3, 4)
+    # the coset indicatrices of g <= 12 cover every level-1 coset of these d, e
+    assert {coset_indicatrix(coset_gcd(m, d)) for d in range(2, 8) for e in (1, 3, 4)
             for m in galois_A(d, e)} <= set(SKIP_CASES)
     epsilons = (F(1, 10**3), F(1, 10**4), F(1, 50000))
     fast = {(phi, eps): epsilon_index(phi, eps) for phi in SKIP_CASES for eps in epsilons}

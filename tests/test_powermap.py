@@ -37,9 +37,10 @@ from perprop.powermap import (
     _radius_bounds,
     _radius_rung,
     b_n_permset,
-    build_B1,
     classify_regime,
+    coset_gcd,
     coset_indicatrix,
+    coset_permset,
     coset_status,
     galois_A,
     zero_orbit_report,
@@ -79,28 +80,24 @@ def test_galois_A_e2_matches_base_rationals():
 
 
 def test_build_B1_structure():
-    data = build_B1(3, 1)
     b1 = b_n_permset(3, 1, 1)
-    assert len(b1) == len(data.A) * 3 == 6
+    assert len(b1) == len(galois_A(3, 1)) * 3 == 6
     # the multiplier of i -> m*i + j is its image of 1 minus its image of 0
     assert {(row[1] - row[0]) % 3 for row in b1.images.tolist()} == {1, 2}
-    assert is_transitive(PermSet(data.coset_permset(1).images, kind="group"))
+    assert is_transitive(PermSet(coset_permset(3, 1).images, kind="group"))
     assert b1.verify_group()
     # d=2: only translations
-    data2 = build_B1(2, 1)
-    assert len(b_n_permset(2, 1, 1)) == 2 and data2.A == (1,)
+    assert len(b_n_permset(2, 1, 1)) == 2 and galois_A(2, 1) == (1,)
     # d=4 over Q: two cosets
-    data4 = build_B1(4, 1)
-    assert len(b_n_permset(4, 1, 1)) == 8 and data4.A == (1, 3)
+    assert len(b_n_permset(4, 1, 1)) == 8 and galois_A(4, 1) == (1, 3)
 
 
 def test_coset_partition_matches_A():
     for d, e in [(3, 1), (4, 1), (6, 1), (5, 1), (9, 1), (4, 4), (3, 3)]:
-        data = build_B1(d, e)
-        assert len(b_n_permset(d, e, 1)) == len(data.A) * d
+        assert len(b_n_permset(d, e, 1)) == len(galois_A(d, e)) * d
         translations = cyclic_group(d)
-        for m in data.A:
-            cs = data.coset_permset(m)
+        for m in galois_A(d, e):
+            cs = coset_permset(d, m)
             assert len(cs) == d
             rep = Permutation(tuple(m * i % d for i in range(d)))
             assert {p.images for p in cs} == {(h * rep).images for h in translations}
@@ -112,10 +109,9 @@ def test_coset_indicatrix_matches_enumerated_cosets():
     checked = 0
     for d in range(2, 41):
         for e in (*range(1, 10), 12):
-            data = build_B1(d, e)
-            for m in data.A:
-                enumerated = indicatrix_of(data.coset_permset(m))
-                assert coset_indicatrix(m, d) == enumerated, (m, d, e)
+            for m in galois_A(d, e):
+                enumerated = indicatrix_of(coset_permset(d, m))
+                assert coset_indicatrix(coset_gcd(m, d)) == enumerated, (m, d, e)
                 checked += 1
     assert checked == 4355
 
@@ -631,12 +627,12 @@ def test_model_fpp_via_indicatrix_matches_group_fpp():
     # FPP(B_1) computed from the coset indicatrices, enumerated or in closed
     # form, equals the direct group FPP
     for d, e in [(3, 1), (4, 1), (3, 3), (5, 1)]:
-        data = build_B1(d, e)
+        A = galois_A(d, e)
         b1 = b_n_permset(d, e, 1)
-        for phi_of in (lambda m: indicatrix_of(data.coset_permset(m)),
-                       lambda m: coset_indicatrix(m, d)):
-            per_coset = [1 - value_at(phi_of(m), 0) for m in data.A]
-            aggregate = sum(per_coset, Fraction(0)) / len(data.A)
+        for phi_of in (lambda m: indicatrix_of(coset_permset(d, m)),
+                       lambda m: coset_indicatrix(coset_gcd(m, d))):
+            per_coset = [1 - value_at(phi_of(m), 0) for m in A]
+            aggregate = sum(per_coset, Fraction(0)) / len(A)
             assert aggregate == fpp(b1)
 
 
