@@ -25,6 +25,18 @@ plus degree comparison) is an array Horner evaluation of numerator and
 denominator with a Fermat-power inverse.  Forward images are iterated with a
 boolean mask over the points, so no step sorts.
 
+Every reduction mod p goes through _mod, which takes y - (y // p) p in place
+of y % p: numpy divides an int64 array by a scalar with a precomputed
+multiplier, several times faster than its remainder, and floor division
+rounds toward -infinity, so the result is in [0, p) for negative y too.  The
+kernels reduce sums and products they have just made in place, and at f = 1
+an index array is its own digit row, so no copy is made there.
+
+A sweep row of x^d + c with gcd(d, q-1) = 1 needs no graph (row_walk): x^d
+is then a bijection of F_q (onto F_q^*, whose order is prime to d, and 0 to
+0), so x^d + c permutes F_q and fixes infinity.  Every point of P^1(F_q) is
+periodic and every image is the whole line: the row is q+1 at every step.
+
 A sweep row of x^d + c with gcd(d, q-1) = 2 (d even, q odd) is walked on the
 quotient F_q/{+1, -1} (row_walk).  x^d is constant on each class {t, -t}, so
 with R one representative per class (0 its own class) and h(s) = rep(s^d + c)
@@ -180,7 +192,8 @@ def _finite_successors(m: ReducedMap, idx: np.ndarray) -> np.ndarray:
     mul = partial(_mul, F)
     one = _column(F.one)  # for a zero exponent; broadcasts against a block
     if m.kind == "power_plus_c":
-        return _indices(F, (power(x, m.degree, mul, one) + _column(m.c)) % F.p)
+        y = power(x, m.degree, mul, one) + _column(m.c)  # a new array: x stays intact
+        return _indices(F, _mod(y, F.p, out=y))
     top = _eval_poly(F, m.num_coeffs, x)
     bottom = _eval_poly(F, m.den_coeffs, x)
     out = _indices(F, mul(top, power(bottom, F.q - 2, mul, one)))  # q - 2 = 0 over F_2
@@ -189,15 +202,18 @@ def _finite_successors(m: ReducedMap, idx: np.ndarray) -> np.ndarray:
 
 
 def row_walk(m: ReducedMap, max_entries: int) -> tuple[tuple[int, ...], int]:
-    """image_sizes_and_periodic(build_graph(m), max_entries), walking the
-    (q+1)/2 classes of F_q/{+1, -1} instead when m is x^d + c with
-    gcd(d, q-1) = 2 (see the module docstring).  Refuses the same fields as
-    build_graph."""
+    """image_sizes_and_periodic(build_graph(m), max_entries).  When m is
+    x^d + c, the row is q+1 at every step if gcd(d, q-1) = 1, and the walk is
+    over the (q+1)/2 classes of F_q/{+1, -1} if gcd(d, q-1) = 2 (see the
+    module docstring).  Refuses the same fields as build_graph."""
     F = m.field
-    if m.kind != "power_plus_c" or gcd(m.degree, F.q - 1) != 2:
+    k = gcd(m.degree, F.q - 1) if m.kind == "power_plus_c" else 0
+    if k not in (1, 2):
         return image_sizes_and_periodic(build_graph(m), max_entries)
     check_graph_points(F.q + 1)
     _check_int64(F)
+    if k == 1:
+        return (F.q + 1, F.q + 1)[: max(max_entries, 1)], F.q + 1
     half = (F.p + 1) // 2
     reps = np.concatenate([np.zeros(1, dtype=np.int64)] + [
         np.arange(F.p**j, half * F.p**j, dtype=np.int64) for j in range(F.f)])
@@ -222,7 +238,7 @@ def _class_positions(F: ResidueField, idx: np.ndarray) -> np.ndarray:
         nonzero = x[j] != 0
         top = np.where(nonzero, x[j], top)
         offset = np.where(nonzero, (p**j - 1) // 2, offset)
-    rep = np.where(top > (p - 1) // 2, _indices(F, (p - x) % p), idx)
+    rep = np.where(top > (p - 1) // 2, _indices(F, _mod(p - x, p)), idx)
     return rep - offset
 
 
@@ -246,18 +262,34 @@ def _column(a: Element) -> np.ndarray:
     return np.asarray(a, dtype=np.int64)[:, None]
 
 
+def _mod(y: np.ndarray, p: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """y mod p in [0, p), written into out or else into the one temporary,
+    y // p (see the module docstring for why not y % p)."""
+    q = y // p
+    q *= p
+    return np.subtract(y, q, out=q if out is None else out)
+
+
 def _digits(F: ResidueField, idx: np.ndarray) -> np.ndarray:
-    """The elements with the given base-p indices (little-endian digits)."""
+    """The elements with the given base-p indices (little-endian digits); at
+    f = 1 a view of idx."""
+    if F.f == 1:
+        return idx[None, :]
     x = np.empty((F.f, idx.size), dtype=np.int64)
     rest = idx
     for j in range(F.f - 1):
-        rest, x[j] = np.divmod(rest, F.p)
+        quotient = rest // F.p
+        np.multiply(quotient, F.p, out=x[j])
+        np.subtract(rest, x[j], out=x[j])
+        rest = quotient
     x[F.f - 1] = rest
     return x
 
 
 def _indices(F: ResidueField, x: np.ndarray) -> np.ndarray:
-    """Base-p index of every element."""
+    """Base-p index of every element; at f = 1 a view of x."""
+    if F.f == 1:
+        return x[0]
     out = x[F.f - 1].copy()
     for j in range(F.f - 2, -1, -1):
         out *= F.p
@@ -270,21 +302,23 @@ def _mul(F: ResidueField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     monic modulus from the top coefficient down (over F_p, one product)."""
     f, p = F.f, F.p
     if f == 1:
-        return a * b % p
+        product = a * b
+        return _mod(product, p, out=product)
     conv = np.zeros((2 * f - 1, max(a.shape[1], b.shape[1])), dtype=np.int64)
     for i in range(f):
         conv[i : i + f] += a[i] * b
     low = _column(F.modulus[:f])
     for k in range(2 * f - 2, f - 1, -1):
-        conv[k - f : k] -= (conv[k] % p) * low
-    return conv[:f] % p
+        conv[k - f : k] -= _mod(conv[k], p) * low
+    return _mod(conv[:f], p)
 
 
 def _eval_poly(F: ResidueField, coeffs: tuple[Element, ...], x: np.ndarray) -> np.ndarray:
     """A polynomial with field-element coefficients at every element (Horner)."""
     acc = _column(coeffs[-1])
     for coeff in reversed(coeffs[:-1]):
-        acc = (_mul(F, acc, x) + _column(coeff)) % F.p
+        acc = _mul(F, acc, x) + _column(coeff)
+        _mod(acc, F.p, out=acc)
     return np.broadcast_to(acc, x.shape)
 
 
@@ -320,14 +354,16 @@ def _forward_images(g: FunctionalGraph) -> Iterator[np.ndarray]:
     current = np.arange(g.size, dtype=np.int64)
     yield current
     mask = np.empty(g.size, dtype=bool)
+    image = g.successor  # of the whole space, so no gather on the first step
     while True:
         mask[:] = False
-        mask[g.successor[current]] = True
+        mask[image] = True
         nxt = mask.nonzero()[0]
         yield nxt
         if nxt.size == current.size:
             return
         current = nxt
+        image = g.successor[current]
 
 
 def periodic_by_image_iteration(g: FunctionalGraph) -> tuple[frozenset[int], tuple[int, ...]]:

@@ -137,6 +137,13 @@ ROWS = {
     "sweep_output_pinned_by_hash[d4-e3]": Row(
         "sweep -d 4 -e 3 -c=2 -N 3000",
         sha256="c6cb0650b0b12415ec1070050bd5ed5676aa8291929e144d917a871b06420ada"),
+    # odd degrees over prime fields: rows with gcd(d, p-1) = 1 next to 3 or 5
+    "sweep_output_pinned_by_hash[d3-e1]": Row(
+        "sweep -d 3 -e 1 -c=1 -N 20000",
+        sha256="91ae4e0bc8a571ccc30ea5e1f33bd577457dd630f3d4a8b94414e524afe8083e"),
+    "sweep_output_pinned_by_hash[d5-e1]": Row(
+        "sweep -d 5 -e 1 -c=2 -N 20000",
+        sha256="106c082adced4eced8718e0941890882fa539ff5d51853ab61b5516a1c99c960"),
     "sweep_json_output_pinned_by_hash[json]": Row(
         "sweep -d 3 -e 5 -c=1+z -N 3000 --json",
         sha256="158b056b474e61bf65804065921b3c9dc7c991ffc8e959f4092cbce1cca5902f"),

@@ -1,12 +1,19 @@
+import ast
 import random
-from math import gcd
+from math import gcd, isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from perprop import dynamics
+from perprop.cyclotomic import power
 from perprop.dynamics import (
     BLOCK,
     _check_int64,
+    _digits,
+    _finite_successors,
+    _mod,
     build_graph,
     general_map,
     image_size_at,
@@ -287,19 +294,18 @@ def test_memory_cap(monkeypatch):
 
 
 def test_folded_walk_refuses_what_build_graph_refuses(monkeypatch):
-    from perprop import dynamics
-
-    m = power_map(make_field(5, 1), 2, (1,))  # gcd(2, 4) = 2: folded
-    monkeypatch.setattr(dynamics, "MEMORY_CAP_POINTS", 4)
-    with pytest.raises(ResourceCapError) as built:
-        build_graph(m)
-    with pytest.raises(ResourceCapError) as walked:
-        row_walk(m, 8)
-    assert str(walked.value) == str(built.value)
-    # past the int64 guard, refused before anything is allocated
-    monkeypatch.setattr(dynamics, "MEMORY_CAP_POINTS", 10**10)
-    with pytest.raises(ResourceCapError, match="overflow int64"):
-        row_walk(power_map(ResidueField(3_037_000_501, 1, (0, 1)), 2, (1,)), 8)
+    for d in (2, 3):  # gcd(d, 4) = 2: folded; gcd(d, 4) = 1: closed form
+        m = power_map(make_field(5, 1), d, (1,))
+        monkeypatch.setattr(dynamics, "MEMORY_CAP_POINTS", 4)
+        with pytest.raises(ResourceCapError) as built:
+            build_graph(m)
+        with pytest.raises(ResourceCapError) as walked:
+            row_walk(m, 8)
+        assert str(walked.value) == str(built.value)
+        # past the int64 guard, refused before anything is allocated
+        monkeypatch.setattr(dynamics, "MEMORY_CAP_POINTS", 10**10)
+        with pytest.raises(ResourceCapError, match="overflow int64"):
+            row_walk(power_map(ResidueField(3_037_000_501, 1, (0, 1)), d, (1,)), 8)
 
 
 def test_int64_guard():
@@ -467,9 +473,102 @@ def test_folded_walk_matches_the_full_graph():
                     assert row_walk(m, 8) == want, (d, e, c, P)
     assert {"folded f=1", "folded f=2", "folded f=4", "k=1", "k=3", "k=4", "k=6",
             "p=2", "wild"} <= kinds
-    # short walks keep their length, and the stable size when it comes first
+    # short walks keep their length, and the stable size when it comes first;
+    # the last five rows have k = 1 (p = 2, wild p = 3 and F_4 among them)
     for max_entries in (1, 2, 3):
-        for d, p in ((2, 5), (2, 7), (4, 7), (6, 11)):
-            m = power_map(make_field(p, 1), d, (1,))
+        for d, p, f in ((2, 5, 1), (2, 7, 1), (4, 7, 1), (6, 11, 1),
+                        (3, 5, 1), (5, 7, 1), (3, 2, 1), (3, 3, 1), (2, 2, 2)):
+            m = power_map(make_field(p, f), d, (1,))
             want = image_sizes_and_periodic(build_graph(m), max_entries)
-            assert row_walk(m, max_entries) == want, (max_entries, d, p)
+            assert row_walk(m, max_entries) == want, (max_entries, d, p, f)
+
+
+def test_rows_with_gcd_one_build_no_graph(monkeypatch):
+    # x^d + c with gcd(d, q-1) = 1 is a bijection: tame, wild, p = 2, f >= 2
+    maps = [power_map(make_field(p, f), d, make_field(p, f).element_from_index(c))
+            for d, p, f, c in ((3, 5, 1, 1), (5, 10007, 1, 2), (3, 3, 1, 0),
+                               (2, 2, 1, 1), (3, 2, 3, 5), (7, 3, 4, 7))]
+    assert all(gcd(m.degree, m.field.q - 1) == 1 for m in maps)
+    want = {(m, n): image_sizes_and_periodic(build_graph(m), n)
+            for m in maps for n in (0, 1, 2, 8)}
+
+    def refuse(m):
+        raise AssertionError("build_graph called for a row with gcd(d, q-1) = 1")
+
+    monkeypatch.setattr(dynamics, "build_graph", refuse)
+    for (m, n), expected in want.items():
+        assert row_walk(m, n) == expected, (m.field, m.degree, n)
+
+
+def _largest_admitted_p(f):
+    """The largest p whose F_{p^f} arithmetic _check_int64 admits."""
+    p = isqrt((2**63 - 1) // f) + 1
+    modulus = (1,) + (0,) * (f - 1) + (1,)
+    _check_int64(ResidueField(p, f, modulus))
+    with pytest.raises(ResourceCapError):
+        _check_int64(ResidueField(p + 1, f, modulus))
+    return p
+
+
+@pytest.mark.parametrize("f", [1, 2, 4])
+def test_mod_by_floor_division_equals_the_remainder(f):
+    p = _largest_admitted_p(f)
+    for modulus in (2, 3, 10007, p):
+        edge = [0, 1, modulus - 1, modulus, f * (modulus - 1) ** 2]
+        rng = np.random.default_rng(modulus)
+        bound = f * (modulus - 1) ** 2
+        y = np.array(edge + [-v for v in edge], dtype=np.int64)
+        y = np.concatenate([y, rng.integers(-bound, bound, size=1000, endpoint=True)])
+        want = y % modulus
+        assert np.array_equal(_mod(y, modulus), want), modulus
+        out = np.empty_like(y)
+        assert _mod(y, modulus, out=out) is out
+        assert np.array_equal(out, want), modulus
+        assert _mod(y, modulus, out=y) is y  # in place
+        assert np.array_equal(y, want), modulus
+
+
+def test_kernels_leave_their_indices_intact():
+    for F in (make_field(7, 1), make_field(13, 1), make_field(5, 2)):
+        c = F.element_from_index(3)
+        idx = np.arange(F.q, dtype=np.int64)
+        for d in range(1, 6):
+            _finite_successors(power_map(F, d, c), idx)
+            assert np.array_equal(idx, np.arange(F.q)), (F, d)
+    F = make_field(7, 1)
+    idx = np.arange(F.q, dtype=np.int64)
+    _finite_successors(general_map(F, [1, 0, 2], [3, 1]), idx)
+    assert np.array_equal(idx, np.arange(F.q))
+    # at f = 1 the digits are a view of the indices, and x^1 is x itself
+    x = _digits(F, idx)
+    assert x.shape == (1, F.q) and np.shares_memory(x, idx)
+    assert power(x, 1, None, None) is x
+
+
+def test_degree_one_power_map_is_a_translation():
+    for p in (2, 3, 7, 10007):
+        F = make_field(p, 1)
+        for c in {0, 1, p - 1}:
+            succ = build_graph(power_map(F, 1, (c,))).successor
+            assert succ.tolist() == [(i + c) % p for i in range(p)] + [p], (p, c)
+
+
+def test_kernels_reduce_only_through_mod():
+    # numpy's remainder by a scalar is several times slower than its floor
+    # division, so every reduction of dynamics goes through _mod
+    tree = ast.parse(Path(dynamics.__file__).read_text())
+    inside_mod = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "_mod"
+                  for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in inside_mod:
+            continue
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mod):
+            found.append(node.lineno)
+        if isinstance(node, ast.Call):
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(
+                node.func, "id", None)
+            if name in ("divmod", "remainder", "mod", "fmod"):
+                found.append(node.lineno)
+    assert not found, f"reduction outside _mod at lines {found}"
