@@ -33,17 +33,6 @@ def sqrt_upper(x, bits: int = SQRT_BITS) -> Fraction:
     return Fraction(isqrt(n - 1) + 1 if n else 0, x.denominator << bits)  # ceil(sqrt(n))
 
 
-def sqrt_lower(x, bits: int = SQRT_BITS) -> Fraction:
-    """Rational lower bound on sqrt(x) for an int or Fraction x, within
-    2^-bits; 0 when x < 0, as a lower end of an enclosure may be.  It stays as
-    the reference of the Fraction-oracle radius tests."""
-    x = Fraction(x)
-    if x < 0:
-        return Fraction(0)
-    n = x.numerator * x.denominator << (2 * bits)
-    return Fraction(isqrt(n), x.denominator << bits)
-
-
 def genus_bound(B_order: int, n: int, d: int) -> int:
     """Riemann-Hurwitz estimate: B_order * n * (2d - 2)."""
     if B_order < 1 or n < 1 or d < 1:

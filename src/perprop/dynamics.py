@@ -37,20 +37,19 @@ is then a bijection of F_q (onto F_q^*, whose order is prime to d, and 0 to
 0), so x^d + c permutes F_q and fixes infinity.  Every point of P^1(F_q) is
 periodic and every image is the whole line: the row is q+1 at every step.
 
-A sweep row of x^d + c with gcd(d, q-1) = 2 (d even, q odd) is walked on the
-quotient F_q/{+1, -1} (row_walk).  x^d is constant on each class {t, -t}, so
-with R one representative per class (0 its own class) and h(s) = rep(s^d + c)
-on R, the (q+1)/2 points of R carry the row: |f^j(X)| = |h^(j-1)(R)| + 1 for
-j >= 1, the +1 being infinity, and the periodic count of f is that of h plus
-1 (two periodic points never share an image, so no class holds two).  The
-image sizes need the kernel of x -> x^d on F_q^* to be exactly {+1, -1},
-that is gcd(d, q-1) = 2: then x^d + c is injective on R, and f^j(X) is the
-image of h^(j-1)(R).  With a larger gcd the classes of +-1 merge further
-under x^d and the sizes would differ.  The representative of {t, -t} is the
-one whose top nonzero base-p digit is at most (p-1)/2, so R is 0 together
-with the index ranges [p^j, (p+1)/2 p^j), and the index i of a
-representative with top digit in place j sits at position i - (p^j - 1)/2
-of R.  Over F_p that is min(t, p - t) at position t.
+A sweep row of x^d + c over a prime field with gcd(d, p-1) = 2 (d even, p
+odd) is walked on the quotient F_p/{+1, -1} (row_walk).  x^d is constant on
+each class {t, -t}, so with R = {0, ..., (p-1)/2}, one representative per
+class, and h(s) = rep(s^d + c) on R, the (p+1)/2 points of R carry the row:
+|f^j(X)| = |h^(j-1)(R)| + 1 for j >= 1, the +1 being infinity, and the
+periodic count of f is that of h plus 1 (two periodic points never share an
+image, so no class holds two).  The image sizes need the kernel of x -> x^d
+on F_p^* to be exactly {+1, -1}, that is gcd(d, p-1) = 2: then x^d + c is
+injective on R, and f^j(X) is the image of h^(j-1)(R).  With a larger gcd
+the classes of +-1 merge further under x^d and the sizes would differ.  The
+class of t sits at position min(t, p - t) of R.  Rows over F_{p^f}, f >= 2,
+walk the full graph: they have p <= sqrt(N), so they hold under 1% of the
+points at norm 10^5, too few to pay for representatives by top base-p digit.
 """
 
 from __future__ import annotations
@@ -173,17 +172,21 @@ def check_graph_points(size: int) -> None:
 def build_graph(m: ReducedMap) -> FunctionalGraph:
     """Evaluate the map at every point of P^1(F_q), of at most
     MEMORY_CAP_POINTS points."""
-    F = m.field
-    q = F.q
-    size = q + 1
-    check_graph_points(size)
-    _check_int64(F)
-    succ = np.empty(size, dtype=np.int64)
-    for start in range(0, q, BLOCK):
-        idx = np.arange(start, min(start + BLOCK, q), dtype=np.int64)
-        succ[start : start + idx.size] = _finite_successors(m, idx)
-    succ[q] = _infinity_successor(m)
+    check_graph_points(m.field.q + 1)
+    _check_int64(m.field)
+    succ = _successors(m, m.field.q)
+    succ[-1] = _infinity_successor(m)
     return FunctionalGraph(succ)
+
+
+def _successors(m: ReducedMap, n: int) -> np.ndarray:
+    """n + 1 entries: the successors of the indices 0..n-1, BLOCK at a time,
+    then an unset slot for infinity."""
+    succ = np.empty(n + 1, dtype=np.int64)
+    for start in range(0, n, BLOCK):
+        idx = np.arange(start, min(start + BLOCK, n), dtype=np.int64)
+        succ[start : start + idx.size] = _finite_successors(m, idx)
+    return succ
 
 
 def _finite_successors(m: ReducedMap, idx: np.ndarray) -> np.ndarray:
@@ -203,43 +206,23 @@ def _finite_successors(m: ReducedMap, idx: np.ndarray) -> np.ndarray:
 
 def row_walk(m: ReducedMap, max_entries: int) -> tuple[tuple[int, ...], int]:
     """image_sizes_and_periodic(build_graph(m), max_entries).  When m is
-    x^d + c, the row is q+1 at every step if gcd(d, q-1) = 1, and the walk is
-    over the (q+1)/2 classes of F_q/{+1, -1} if gcd(d, q-1) = 2 (see the
-    module docstring).  Refuses the same fields as build_graph."""
+    x^d + c, the row is q+1 at every step if gcd(d, q-1) = 1, and over a
+    prime field with gcd(d, p-1) = 2 the walk is over the (p+1)/2 classes of
+    F_p/{+1, -1} (see the module docstring).  Refuses the same fields as
+    build_graph."""
     F = m.field
     k = gcd(m.degree, F.q - 1) if m.kind == "power_plus_c" else 0
-    if k not in (1, 2):
+    if k != 1 and (k, F.f) != (2, 1):
         return image_sizes_and_periodic(build_graph(m), max_entries)
     check_graph_points(F.q + 1)
     _check_int64(F)
     if k == 1:
         return (F.q + 1, F.q + 1)[: max(max_entries, 1)], F.q + 1
-    half = (F.p + 1) // 2
-    reps = np.concatenate([np.zeros(1, dtype=np.int64)] + [
-        np.arange(F.p**j, half * F.p**j, dtype=np.int64) for j in range(F.f)])
-    succ = np.empty(reps.size, dtype=np.int64)
-    for start in range(0, reps.size, BLOCK):
-        block = reps[start : start + BLOCK]
-        succ[start : start + block.size] = _class_positions(F, _finite_successors(m, block))
+    succ = _successors(m, (F.p + 1) // 2)[:-1]
+    np.minimum(succ, F.p - succ, out=succ)
     sizes, periodic = image_sizes_and_periodic(FunctionalGraph(succ), max_entries - 1)
     shown = (F.q + 1,) + tuple(size + 1 for size in sizes)  # + 1 for infinity
     return shown[: max(max_entries, 1)], periodic + 1
-
-
-def _class_positions(F: ResidueField, idx: np.ndarray) -> np.ndarray:
-    """The position in row_walk's representatives of the class {t, -t} of
-    each element index."""
-    p = F.p
-    if F.f == 1:
-        return np.minimum(idx, p - idx)
-    x = _digits(F, idx)
-    top, offset = x[0], np.zeros(idx.size, dtype=np.int64)
-    for j in range(1, F.f):
-        nonzero = x[j] != 0
-        top = np.where(nonzero, x[j], top)
-        offset = np.where(nonzero, (p**j - 1) // 2, offset)
-    rep = np.where(top > (p - 1) // 2, _indices(F, _mod(p - x, p)), idx)
-    return rep - offset
 
 
 def _infinity_successor(m: ReducedMap) -> int:

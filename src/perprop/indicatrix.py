@@ -292,6 +292,11 @@ def _skip_ahead(f: IndicatrixPoly, epsilon: Fraction, n: int, u_lo: Fraction,
     Every quantity is an integer count of 1/one, rounded down on the lower
     side of its enclosure and up on the upper side; one is 2^_GRID_BITS over
     epsilon, so each u keeps _GRID_BITS bits.
+
+    Giving up past MAX_ITERATION_STEPS is a ResourceCapError, as hi <= 1/epsilon
+    has certified the index past n.  No precision restart could answer: the scan
+    would have to straddle epsilon at some m <= the cap, so u_m - u_{m+1} >=
+    mu_2 u_m^2 - mu_3 u_m^3 would be below its 2^-237 width, far from any u_m here.
     """
     constants = _parabolic_constants(f, u_hi)
     if constants is None:
@@ -307,7 +312,7 @@ def _skip_ahead(f: IndicatrixPoly, epsilon: Fraction, n: int, u_lo: Fraction,
         step_lo = a_lo + min(_scaled(b, top, False), 0) + min(_scaled(k_lo, top_sq, False), 0)
         step_hi = a_hi + max(_scaled(b, top, True), 0) + max(_scaled(k_hi, top_sq, True), 0)
         if step_lo <= 0:
-            return None
+            break
         s = max(1, min(lo // (_STRIDE_SHARE * step_hi), (target - hi) // step_hi))
         sum_lo = 2 * s * one * one // (2 * hi + step_hi * (s - 1))
         sum_hi = -(-s * (top - (-one * one // (lo + step_lo * (s - 1)))) // 2)
@@ -321,7 +326,11 @@ def _skip_ahead(f: IndicatrixPoly, epsilon: Fraction, n: int, u_lo: Fraction,
         elif s == 1 and new_lo > target:
             return n + 1
         else:
-            return None
+            break
+    if n > MAX_ITERATION_STEPS:
+        raise ResourceCapError(f"no index below epsilon={epsilon} within "
+                               f"{MAX_ITERATION_STEPS} iterations: it is past {n}")
+    return None
 
 
 def _scaled(c: Fraction, x: int, up: bool) -> int:

@@ -207,19 +207,6 @@ class PermSet:
         """Fixed-point count of every element, in row order."""
         return (self.images == np.arange(self.degree, dtype=np.int16)).sum(axis=1)
 
-    def verify_group(self) -> bool:
-        """Exhaustively check identity, closure and inverses."""
-        elems = set(p.images for p in self)
-        if tuple(range(self.degree)) not in elems:
-            return False
-        for a in self:
-            if a.inverse().images not in elems:
-                return False
-            for b in self:
-                if (a * b).images not in elems:
-                    return False
-        return True
-
 
 def permset(elements, kind: str = "plain") -> PermSet:
     return PermSet([p.images for p in elements], kind=kind)

@@ -7,10 +7,11 @@ from perprop.bounds import (
     fix_class_count,
     genus_bound,
     ramified_bound,
-    sqrt_lower,
     sqrt_upper,
 )
 from perprop.perms import cyclic_group, symmetric_group, trace
+
+from oracles import sqrt_lower
 
 F = Fraction
 

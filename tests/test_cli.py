@@ -230,9 +230,16 @@ ROWS = {
         "bound -d 10000 -n 1 -q 10009",
         sha256="5493519a51188b89698e54abc201b9e55f5fa86d197d529fbedefebabac47b85"),
     # a command that fails prints no partial result
+    # the skip-ahead has certified the index past the step cap, so exit 5 comes
+    # without a scan to the cap
     "failed_command_prints_nothing[fpp-epsilon]": Row(
         f"fpp -d 2 -n 1 --epsilon 1/{10**100}", 5,
-        f"resource cap: no index below epsilon=1/{10**100} within 200000 iterations"),
+        f"resource cap: no index below epsilon=1/{10**100} within 200000 iterations: "
+        f"it is past {2 * 10**100 - 234}"),
+    "failed_command_prints_nothing[fpp-d30-epsilon]": Row(
+        f"fpp -d 30 -n 1 --epsilon 1/{10**100}", 5,
+        f"resource cap: no index below epsilon=1/{10**100} within 200000 iterations: "
+        f"it is past {2 * 10**100 // 29 - 83}"),
     "failed_command_prints_nothing[wreathcheck-S3]": Row(
         "wreathcheck S3 3", 5,
         "resource cap: iterated wreath needs 13060694016 elements, cap is 1000000"),
@@ -726,6 +733,25 @@ def test_bound_vs_measured_script_runs():
     assert "VIOLATION" not in done.stdout
     rows = [line for line in done.stdout.splitlines() if " measured=" in line]
     assert len(rows) == 2 and all(row.endswith(" ok") for row in rows)
+
+
+def test_readme_library_sketch_has_the_values_its_comments_show():
+    # every expression line of the sketch is commented with the repr of its value
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = text.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = code.splitlines()
+    namespace = {}
+    exec("from perprop import *", namespace)
+    shown = 0
+    for node in ast.parse(code).body:
+        if isinstance(node, ast.Expr):
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            comment = lines[node.lineno - 1].partition("  #")[2].strip()
+            assert comment.startswith(repr(value)), (lines[node.lineno - 1], value)
+            shown += 1
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    assert shown == 9
 
 
 def test_every_python_file_parses_as_python_3_10():

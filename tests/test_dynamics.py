@@ -467,11 +467,11 @@ def test_folded_walk_matches_the_full_graph():
                 for P in primes:
                     m = reduce_map(setting, P)
                     k = gcd(d, P.norm - 1)
-                    kinds.add(f"folded f={P.f}" if k == 2 else f"k={k}")
+                    kinds.add(f"k=2 f={P.f}" if k == 2 else f"k={k}")
                     kinds.add("p=2" if P.p == 2 else "wild" if m.wild else "tame")
                     want = image_sizes_and_periodic(build_graph(m), 8)
                     assert row_walk(m, 8) == want, (d, e, c, P)
-    assert {"folded f=1", "folded f=2", "folded f=4", "k=1", "k=3", "k=4", "k=6",
+    assert {"k=2 f=1", "k=2 f=2", "k=2 f=4", "k=1", "k=3", "k=4", "k=6",
             "p=2", "wild"} <= kinds
     # short walks keep their length, and the stable size when it comes first;
     # the last five rows have k = 1 (p = 2, wild p = 3 and F_4 among them)
@@ -498,6 +498,26 @@ def test_rows_with_gcd_one_build_no_graph(monkeypatch):
     monkeypatch.setattr(dynamics, "build_graph", refuse)
     for (m, n), expected in want.items():
         assert row_walk(m, n) == expected, (m.field, m.degree, n)
+
+
+def test_every_row_has_the_first_image_size_of_the_algebra():
+    # x^d maps F_q onto 1 + (q-1)/k values, k = gcd(d, q-1), and infinity is
+    # fixed, so |f(P^1(F_q))| = (q-1)/k + 2 on every row, whatever its path
+    from perprop.cli import compute_row
+
+    kinds = set()
+    for e in (1, 3, 5, 8):
+        primes = list(prime_stream(e, 6000))
+        for d in range(2, 7):
+            for c in (1, "1+z"):
+                setting = CycSetting.make(d, e, c)
+                for P in primes:
+                    k = gcd(d, P.norm - 1)
+                    kinds.add(f"k=2 f={P.f}" if k == 2 else f"k={min(k, 3)}")
+                    kinds.add("p=2" if P.p == 2 else "wild" if P.p <= d else "tame")
+                    row = compute_row(setting, P)
+                    assert row.image_sizes[1] == (P.norm - 1) // k + 2, (d, e, c, P)
+    assert {"k=1", "k=2 f=1", "k=2 f=2", "k=2 f=4", "k=3", "p=2", "wild"} <= kinds
 
 
 def _largest_admitted_p(f):
