@@ -382,10 +382,10 @@ def cmd_bound(d: int, e: int, n: int, q_grid: str, c: str, measure: bool,
         class_count, class_text = bnd.fix_class_count(pm.b_n_permset(d, e, n)), "classes="
     else:  # |B_n| bounds the number of classes from above
         class_count, class_text = B_order, "classes<="
-    fpp_up = sum(hi for *_, hi in coset_fpp_enclosures(d, e, n)) / A_order
+    fpp_sum = sum(hi for *_, hi in coset_fpp_enclosures(d, e, n))
     print(
         f"model: d={d} e={e} n={n} |A|={A_order} |B_n|={B_order} "
-        f"FPP(B_n)<={frac_str(fpp_up)} {class_text}{class_count}"
+        f"FPP(B_n)<={frac_str(fpp_sum / A_order)} {class_text}{class_count}"
     )
     violations = 0
     for q in grid:
@@ -395,11 +395,11 @@ def cmd_bound(d: int, e: int, n: int, q_grid: str, c: str, measure: bool,
             norm = P.norm
             label += f" norm={norm}"
         err = bnd.error_term(norm, n, d, B_order, class_count)
-        bound = A_order * fpp_up + err
+        bound = fpp_sum + err
         line = f"{label} bound={fmt6(bound)} error_term={fmt6(err)}"
         if measure:
             sizes, _ = dyn.row_walk(dyn.reduce_map(setting, P), n + 1)
-            measured = Fraction(sizes[min(n, len(sizes) - 1)], sizes[0])
+            measured = Fraction(sizes[-1], sizes[0])  # at f^n, or where it stabilized
             ok = measured <= bound
             line += f" measured={fmt6(measured)} {'ok' if ok else 'VIOLATION'}"
             if not ok:

@@ -23,31 +23,13 @@ from functools import lru_cache
 from math import gcd
 
 
-def divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def units_mod(e: int) -> list[int]:
+    return [m for m in range(1, e + 1) if gcd(m, e) == 1]
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    return len(units_mod(n))
 
 
 def poly_divmod(num, den) -> tuple[list[int], list[int]]:
@@ -89,11 +71,9 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of the n-th cyclotomic polynomial, constant first."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return (-1, 1)
     num = [-1] + [0] * (n - 1) + [1]
-    for d in divisors(n):
-        if d < n:
+    for d in range(1, n):
+        if n % d == 0:
             num, rem = poly_divmod(num, cyclotomic_polynomial(d))
             if any(rem):
                 raise ArithmeticError("inexact polynomial division")
@@ -139,24 +119,24 @@ def cyc_pow(a, k: int, e: int) -> tuple[int, ...]:
     return power(tuple(a), k, lambda x, y: cyc_mul(x, y, e), cyc_int(1, e))
 
 
-def units_mod(e: int) -> list[int]:
-    return [m for m in range(1, max(e, 2)) if gcd(m, e) == 1] if e > 1 else [1]
-
-
 def parse_cyclotomic(text: str, e: int) -> tuple[int, ...]:
-    """Parse integer polynomials in z (= zeta_e), e.g. "1+2z" or "-z^2+3"."""
+    """Parse integer polynomials in z (= zeta_e), e.g. "1+2z" or "-z^2+3";
+    a sign with no term after it is refused, and z^k is read as z^(k mod e)."""
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty cyclotomic literal")
+    terms = re.findall(r"[+-]?[^+-]+", s)
+    if "".join(terms) != s:
+        raise ValueError(f"stray sign in cyclotomic literal {text!r}")
     coeffs: dict[int, int] = {}
-    for term in re.findall(r"[+-]?[^+-]+", s):
+    for term in terms:
         m = re.fullmatch(r"([+-]?)(\d*)(?:(z)(?:\^(\d+))?)?", term)
         if not m or (not m.group(2) and not m.group(3)):
             raise ValueError(f"bad term {term!r} in cyclotomic literal {text!r}")
         sign = -1 if m.group(1) == "-" else 1
         coef = int(m.group(2)) if m.group(2) else 1
-        power = 0 if not m.group(3) else (int(m.group(4)) if m.group(4) else 1)
-        coeffs[power] = coeffs.get(power, 0) + sign * coef
+        k = 0 if not m.group(3) else (int(m.group(4)) if m.group(4) else 1) % e
+        coeffs[k] = coeffs.get(k, 0) + sign * coef
     top = max(coeffs)
     vec = [coeffs.get(i, 0) for i in range(top + 1)]
     return reduce_mod_cyclotomic(vec, e)

@@ -45,9 +45,11 @@ from .perms import PermSet, ResourceCapError
 
 DENOMINATOR_BIT_CAP = 128
 ENCLOSURE_PRECISION = 128
-WORKING_PRECISION = 256
-MAX_PRECISION = 4096
 MAX_ITERATION_STEPS = 200_000
+# working precisions (bits) that iterate_at_zero and epsilon_index try in turn;
+# 256 covers ENCLOSURE_PRECISION + 64 + log2(MAX_ITERATION_STEPS), and a start
+# too low would cost only a climb, as every width is checked
+PRECISION_LADDER = (256, 512, 1024, 2048, 4096)
 SKIP_AFTER = 64  # iterates epsilon_index steps before it tries _skip_ahead
 _GRID_BITS = 64  # bits _skip_ahead keeps of every u, which is at least epsilon
 _STRIDE_SHARE = 8  # a stride raises v by about 1/8 of its value
@@ -59,13 +61,6 @@ class PrecisionExhaustedError(Exception):
 
 class _Diverges:
     """Sentinel: the fixed-point proportion stays at 1, no finite index exists."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __repr__(self):
         return "DIVERGES"
@@ -185,24 +180,21 @@ def _iterates(f: IndicatrixPoly, wp: int):
 
 def iterate_at_zero(f: IndicatrixPoly, n: int) -> IntervalRational:
     """Enclosure of the n-th iterate of f at 0, of width at most
-    2^(2 - ENCLOSURE_PRECISION) (2^-126): the n-th enclosure of _iterates,
-    doubling the working precision until it is that narrow.  An n past
-    MAX_ITERATION_STEPS is a ResourceCapError, raised before any step."""
+    2^(2 - ENCLOSURE_PRECISION) (2^-126): the n-th enclosure of _iterates at
+    the first working precision of PRECISION_LADDER where it is that narrow.
+    An n past MAX_ITERATION_STEPS is a ResourceCapError, raised before any step."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > MAX_ITERATION_STEPS:
         raise ResourceCapError(
             f"level {n} needs {n} iteration steps, cap is {MAX_ITERATION_STEPS}"
         )
-    wp = max(WORKING_PRECISION, ENCLOSURE_PRECISION + 64 + n.bit_length())
-    while wp <= MAX_PRECISION:
+    for wp in PRECISION_LADDER:
         lo, hi, den = next(islice(_iterates(f, wp), n - 1, None))
         if (hi - lo) << (ENCLOSURE_PRECISION - 2) <= den:
             return IntervalRational(Fraction(lo, den), Fraction(hi, den))
-        wp *= 2
-    raise PrecisionExhaustedError(
-        f"could not reach width 2^-{ENCLOSURE_PRECISION - 2} within {MAX_PRECISION} bits"
-    )
+    raise PrecisionExhaustedError(f"could not reach width 2^-{ENCLOSURE_PRECISION - 2} "
+                                  f"within {PRECISION_LADDER[-1]} bits")
 
 
 def epsilon_index(f: IndicatrixPoly, epsilon) -> int | _Diverges:
@@ -211,11 +203,12 @@ def epsilon_index(f: IndicatrixPoly, epsilon) -> int | _Diverges:
     Intended for indicatrices of cosets of transitive groups, where the
     iterates at 0 converge to 1 whenever the constant term is positive.
     Comparisons against epsilon are decided from certified enclosures; if an
-    enclosure straddles epsilon the scan restarts at doubled precision, up to
-    the hard cap.  After SKIP_AFTER iterates the scan hands its enclosure to
-    `_skip_ahead`, which returns n only when its enclosures of v = 1/(1 - f^n(0))
-    certify v_{n-1} <= 1/epsilon < v_n; otherwise the scan goes on.  A scan
-    that runs out of MAX_ITERATION_STEPS is a ResourceCapError.
+    enclosure straddles epsilon the scan restarts at the next working precision
+    of PRECISION_LADDER, and past its top rung raises PrecisionExhaustedError.
+    After SKIP_AFTER iterates the scan hands its enclosure to `_skip_ahead`,
+    which returns n only when its enclosures of v = 1/(1 - f^n(0)) certify
+    v_{n-1} <= 1/epsilon < v_n; otherwise the scan goes on.  A scan that runs
+    out of MAX_ITERATION_STEPS is a ResourceCapError.
     """
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
@@ -223,8 +216,7 @@ def epsilon_index(f: IndicatrixPoly, epsilon) -> int | _Diverges:
     if f.terms[0][0] > 0:  # no constant term
         return DIVERGES
     eps_num, eps_den = epsilon.numerator, epsilon.denominator
-    wp = WORKING_PRECISION
-    while True:
+    for wp in PRECISION_LADDER:
         # 1 - lo/den < epsilon  <=>  (den - lo) * eps_den < eps_num * den
         steps = zip(range(1, MAX_ITERATION_STEPS + 1), _iterates(f, wp))
         for n, (lo, hi, den) in steps:
@@ -242,11 +234,8 @@ def epsilon_index(f: IndicatrixPoly, epsilon) -> int | _Diverges:
             raise ResourceCapError(
                 f"no index below epsilon={epsilon} within {MAX_ITERATION_STEPS} iterations"
             )
-        if wp >= MAX_PRECISION:
-            raise PrecisionExhaustedError(
-                f"enclosure straddles epsilon={epsilon} at {MAX_PRECISION} bits"
-            )
-        wp = min(2 * wp, MAX_PRECISION)
+    raise PrecisionExhaustedError(
+        f"enclosure straddles epsilon={epsilon} at {PRECISION_LADDER[-1]} bits")
 
 
 def _parabolic_constants(f: IndicatrixPoly, U: Fraction):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from math import gcd, isqrt
 
 from .cyclotomic import poly_divmod, poly_mulmod, power
@@ -189,13 +190,8 @@ def _field(p: int, f: int) -> ResidueField:
     """make_field for a prime p and f >= 1, unchecked."""
     if f == 1:
         return ResidueField(p, 1, (0, 1))
-    for idx in range(p**f):
-        lower = []
-        k = idx
-        for _ in range(f):
-            lower.append(k % p)
-            k //= p
-        modulus = tuple(lower) + (1,)
+    for high_first in product(range(p), repeat=f):
+        modulus = high_first[::-1] + (1,)
         if _is_irreducible(modulus, p):
             return ResidueField(p, f, modulus)
     raise AssertionError(f"no irreducible modulus found for p={p}, f={f}")

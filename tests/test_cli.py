@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -266,6 +267,8 @@ ROWS = {
            "sweep -d 2 -e 5 -c=abc -N 10",
            "bound -d 2 -e 5 -q 11 -c=abc --measure",
        ]},
+    "a_c_with_a_stray_sign_is_refused": usage("regime -d 2 -e 5 -c=1++2",
+                                              "bad value for -c: '1++2'"),
     "config_key_the_command_does_not_declare_is_refused[sweep-thread]": usage(
         "sweep -d 2 -c=1 -N 10", "unknown config key 'thread' for sweep", "thread = 2\n"),
     "config_key_the_command_does_not_declare_is_refused[regime-exact]": usage(
@@ -675,6 +678,15 @@ def test_epsilon_iteration_cap_is_a_resource_cap(capsys, monkeypatch):
     assert code == 5
     assert err == ("resource cap: no index below epsilon=1/10000 within "
                    f"{2 * indicatrix.SKIP_AFTER} iterations\n")
+
+
+def test_exhausted_precision_exits_5_before_output(capsys, monkeypatch):
+    # every enclosure is [0, 1], so iterate_at_zero climbs the whole ladder
+    monkeypatch.setattr(indicatrix, "_iterates",
+                        lambda f, wp: itertools.repeat((0, 1 << wp, 1 << wp)))
+    code, out, err = run(capsys, "fpp", "-d", "2", "-n", "2")
+    assert (code, out) == (5, "")
+    assert err.startswith("precision exhausted: ")
 
 
 def test_fpp_level_past_the_step_cap_is_refused_before_output(capsys):

@@ -1,6 +1,8 @@
 import cmath
+import hashlib
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -41,6 +43,29 @@ F = Fraction
 )
 def test_cyclotomic_polynomials(n, expected):
     assert cyclotomic_polynomial(n) == expected
+
+
+def test_euler_phi_matches_the_product_formula():
+    # phi(n) = n * prod (1 - 1/p) over the primes p dividing n, for n <= 10^4
+    def product_formula(n):
+        result, m, p = n, n, 2
+        while m > 1:
+            if m % p == 0:
+                result -= result // p
+                while m % p == 0:
+                    m //= p
+            p += 1
+        return result
+
+    assert [euler_phi(n) for n in range(1, 10_001)] == [
+        product_formula(n) for n in range(1, 10_001)]
+
+
+def test_cyclotomic_polynomials_hash_as_recorded():
+    # the hash pins Phi_n for every n <= 300
+    polys = [cyclotomic_polynomial(n) for n in range(1, 301)]
+    assert hashlib.sha256(repr(polys).encode()).hexdigest() == (
+        "07ea613143c53799ac008aa00cda9959dc4456d45579253f142f47aff84be240")
 
 
 def test_cyclotomic_degree_is_phi():
@@ -84,10 +109,20 @@ def test_parse_and_format():
 
 
 def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_cyclotomic("z+*", 3)
-    with pytest.raises(ValueError):
-        parse_cyclotomic("", 3)
+    # a sign with no term after it is refused, not skipped
+    for text in ("z+*", "", "1++2", "1+", "--1", "+-1"):
+        with pytest.raises(ValueError):
+            parse_cyclotomic(text, 3)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 5, 8, 12])
+def test_exponents_are_read_mod_e(e):
+    for k in range(3 * e + 1):
+        assert parse_cyclotomic(f"z^{k}", e) == parse_cyclotomic(f"z^{k % e}", e), k
+    start = time.perf_counter()
+    huge = parse_cyclotomic(f"2-z^{10**18}", e)
+    assert time.perf_counter() - start < 1
+    assert huge == parse_cyclotomic(f"2-z^{10**18 % e}", e)
 
 
 def test_units_mod():

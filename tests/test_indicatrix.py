@@ -180,9 +180,29 @@ def test_epsilon_index_restarts_when_enclosure_straddles(monkeypatch):
     monkeypatch.setattr(indicatrix, "_iterates", spy)
     index = epsilon_index(PHI_C2, eps)
     assert precisions == [256, 512]
-    monkeypatch.setattr(indicatrix, "WORKING_PRECISION", 4096)
+    monkeypatch.setattr(indicatrix, "PRECISION_LADDER", (4096,))
     assert epsilon_index(PHI_C2, eps) == index == 31
     assert precisions == [256, 512, 4096]
+
+
+def test_both_drivers_climb_the_whole_ladder_then_give_up(monkeypatch):
+    # every enclosure is [0, 1]: too wide for iterate_at_zero, and
+    # straddling any epsilon for epsilon_index
+    precisions = []
+
+    def undecided(f, wp):
+        precisions.append(wp)
+        return itertools.repeat((0, 1 << wp, 1 << wp))
+
+    monkeypatch.setattr(indicatrix, "_iterates", undecided)
+    with pytest.raises(indicatrix.PrecisionExhaustedError, match="within 4096 bits"):
+        iterate_at_zero(PHI_C2, 3)
+    assert precisions == [256, 512, 1024, 2048, 4096]
+    precisions.clear()
+    with pytest.raises(indicatrix.PrecisionExhaustedError,
+                       match="straddles epsilon=1/10 at 4096 bits"):
+        epsilon_index(PHI_C2, F(1, 10))
+    assert precisions == [256, 512, 1024, 2048, 4096]
 
 
 def _binomial(g):
