@@ -7,18 +7,17 @@ The module also holds the package's one integer-polynomial product and
 monic long division; the residue fields reduce their results mod p.
 
 Complex embeddings (zeta -> exp(2*pi*i*m/e) for units m mod e) are given
-only as dyadic integer enclosures of their real and imaginary parts and of
-|value|^2 (integer numerators over a power of two), one embedding at a time,
-summed in midpoint-radius form from cos/sin enclosures symmetric about their
-midpoints: Taylor series with certified remainders (pi itself enclosed via
-Machin's formula).  They are the one path on which the critical-orbit radius
-test is decided; no floating point is involved.
+only as dyadic integer enclosures (integer numerators over a power of two),
+one embedding at a time, each a (midpoint, radius) pair: pi by Machin's
+formula, cos/sin by Taylor series with certified remainders, and each box
+summed from those; only |value|^2 is an interval (lo, hi), read off a box.
+They are the one path on which the critical-orbit radius test is decided;
+no floating point is involved.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -68,16 +67,28 @@ def poly_mulmod(a, b, mod) -> list[int]:
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of the n-th cyclotomic polynomial, constant first."""
+    """Integer coefficients of the n-th cyclotomic polynomial, constant first:
+    with p the largest prime factor of n = m p, Phi_n(x) is Phi_m(x^p) when p
+    divides m, and Phi_m(x^p) / Phi_m(x) otherwise."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    num = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            num, rem = poly_divmod(num, cyclotomic_polynomial(d))
-            if any(rem):
-                raise ArithmeticError("inexact polynomial division")
-    return tuple(num)
+    p, k = n, 2
+    while k * k <= p:  # trial division leaves the largest prime factor (1 for n = 1)
+        if p % k:
+            k += 1
+        else:
+            p //= k
+    if p == 1:
+        return (-1, 1)
+    low = cyclotomic_polynomial(n // p)
+    spread = [0] * (p * (len(low) - 1) + 1)
+    spread[::p] = low
+    if (n // p) % p == 0:
+        return tuple(spread)
+    quot, rem = poly_divmod(spread, low)
+    if any(rem):
+        raise ArithmeticError("inexact polynomial division")
+    return tuple(quot)
 
 
 def reduce_mod_cyclotomic(coeffs, e: int) -> tuple[int, ...]:
@@ -143,38 +154,19 @@ def parse_cyclotomic(text: str, e: int) -> tuple[int, ...]:
 
 
 def format_cyclotomic(a) -> str:
-    parts = []
+    terms = []
     for i, c in enumerate(a):
-        if c == 0:
-            continue
-        if i == 0:
-            parts.append(f"{c:+d}")
-        else:
-            z = "z" if i == 1 else f"z^{i}"
-            if c == 1:
-                parts.append(f"+{z}")
-            elif c == -1:
-                parts.append(f"-{z}")
-            else:
-                parts.append(f"{c:+d}{z}")
-    if not parts:
-        return "0"
-    out = "".join(parts)
-    return out[1:] if out.startswith("+") else out
+        if c:
+            z = "" if i == 0 else "z" if i == 1 else f"z^{i}"
+            sign = "+" if c > 0 else "-"
+            terms.append((sign if z and abs(c) == 1 else f"{c:+d}") + z)
+    return "".join(terms).removeprefix("+") or "0"
 
 
 # -- dyadic integer enclosures -----------------------------------------------
 
 # cos/sin are carried to bits + GUARD_BITS fractional bits
 GUARD_BITS = 40
-
-
-def _isquare(lo: int, hi: int) -> tuple[int, int]:
-    if lo >= 0:
-        return lo * lo, hi * hi
-    if hi <= 0:
-        return hi * hi, lo * lo
-    return 0, max(-lo, hi) ** 2
 
 
 def _atan_inv_fixed(x: int, prec: int) -> tuple[int, int]:
@@ -193,14 +185,13 @@ def _atan_inv_fixed(x: int, prec: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def pi_interval(bits: int) -> tuple[Fraction, Fraction]:
-    """Rational enclosure of pi via Machin's formula, in fixed point."""
-    prec = bits + 10
-    a, ea = _atan_inv_fixed(5, prec)
-    b, eb = _atan_inv_fixed(239, prec)
-    value = 16 * a - 4 * b
-    err = 16 * ea + 4 * eb
-    return (Fraction(value - err, 1 << prec), Fraction(value + err, 1 << prec))
+def pi_fixed(prec: int) -> tuple[int, int]:
+    """(v, u) with |pi 2^prec - v| <= u, via Machin's formula in fixed point
+    at prec + 10 bits."""
+    a, ea = _atan_inv_fixed(5, prec + 10)
+    b, eb = _atan_inv_fixed(239, prec + 10)
+    value, err = 16 * a - 4 * b, 16 * ea + 4 * eb
+    return (value - err) >> 10, (2 * err >> 10) + 2
 
 
 def _fx_mul(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, int]:
@@ -215,9 +206,8 @@ def _fx_mul(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, int
 @lru_cache(maxsize=None)
 def cos_sin_2pi(j: int, e: int, bits: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """Enclosures of cos(2*pi*j/e) and sin(2*pi*j/e), as integer numerators
-    (lo, hi) over 2^(bits + GUARD_BITS).
+    (midpoint, radius) over 2^(bits + GUARD_BITS); each radius is at least 2.
 
-    Both are symmetric about their midpoint, with half-width at least 2.
     Taylor series in integer fixed point (value plus error-unit bookkeeping);
     the tail is bounded by twice the next term once the term ratio drops
     below one half.  Pure integer arithmetic keeps high precisions cheap.
@@ -225,9 +215,7 @@ def cos_sin_2pi(j: int, e: int, bits: int) -> tuple[tuple[int, int], tuple[int, 
     j %= e
     prec = bits + GUARD_BITS
     scale = 1 << prec
-    pi_lo, pi_hi = pi_interval(prec)
-    pi_v = (pi_lo.numerator << prec) // pi_lo.denominator
-    pi_u = ((pi_hi - pi_lo).numerator << prec) // (pi_hi - pi_lo).denominator + 2
+    pi_v, pi_u = pi_fixed(prec)
     x = ((2 * j) * pi_v // e, (2 * j) * pi_u // e + 2)
     x2 = _fx_mul(x, x, prec)
     x2_hi = x2[0] + x2[1]
@@ -257,9 +245,7 @@ def cos_sin_2pi(j: int, e: int, bits: int) -> tuple[tuple[int, int], tuple[int, 
             break
     if max(cos_u, sin_u) > limit:
         raise ArithmeticError("error units exceeded the sanity cap")
-    c_err = cos_u + 2 * c_next
-    s_err = sin_u + 2 * s_next
-    return (cos_v - c_err, cos_v + c_err), (sin_v - s_err, sin_v + s_err)
+    return (cos_v, cos_u + 2 * c_next), (sin_v, sin_u + 2 * s_next)
 
 
 def abs_sq_shift(bits: int) -> int:
@@ -268,31 +254,31 @@ def abs_sq_shift(bits: int) -> int:
 
 
 def embedding_intervals(a, e: int, bits: int):
-    """Yield the enclosure (re_lo, re_hi, im_lo, im_hi) of sigma_m(a), one
-    unit m mod e at a time, as integer numerators over 2^(bits + GUARD_BITS).
-    Each is summed in midpoint-radius form, sum c_i mid_i +- sum |c_i| rad_i,
-    from the symmetric cos/sin enclosures: one large product per term."""
-    unit = 1 << (bits + GUARD_BITS)
+    """Yield the box (re, re_rad, im, im_rad) of sigma_m(a), one unit m mod e
+    at a time: its real part is within re_rad of re, its imaginary part within
+    im_rad of im, all integer numerators over 2^(bits + GUARD_BITS).  Each is
+    summed as sum c_i mid_i +- sum |c_i| rad_i from the cos/sin enclosures,
+    over the nonzero c_i only: one large product per term."""
+    one = ((1 << (bits + GUARD_BITS), 0), (0, 0))  # the e = 1 embedding, exact
+    terms = [(i, c, abs(c)) for i, c in enumerate(a) if c]
     for m in units_mod(e):
-        re_mid = re_rad = im_mid = im_rad = 0
-        for i, c in enumerate(a):
-            if c == 0:
-                continue
-            (cos_lo, cos_hi), (sin_lo, sin_hi) = (
-                cos_sin_2pi(m * i % e, e, bits) if e > 1 else ((unit, unit), (0, 0))
-            )
-            re_mid += c * (cos_lo + cos_hi >> 1)
-            re_rad += abs(c) * (cos_hi - cos_lo >> 1)
-            im_mid += c * (sin_lo + sin_hi >> 1)
-            im_rad += abs(c) * (sin_hi - sin_lo >> 1)
-        yield re_mid - re_rad, re_mid + re_rad, im_mid - im_rad, im_mid + im_rad
+        re = re_rad = im = im_rad = 0
+        for i, c, size in terms:
+            (cos, cos_rad), (sin, sin_rad) = cos_sin_2pi(m * i % e, e, bits) if e > 1 else one
+            re += c * cos
+            re_rad += size * cos_rad
+            im += c * sin
+            im_rad += size * sin_rad
+        yield re, re_rad, im, im_rad
 
 
 def embedding_abs_sq_intervals(a, e: int, bits: int) -> list[tuple[int, int]]:
     """Enclosures of |sigma_m(a)|^2 for all units m mod e, as integer
-    numerators (lo, hi) over 2^abs_sq_shift(bits)."""
+    numerators (lo, hi) over 2^abs_sq_shift(bits).  Over a box, |Re| is at
+    least max(|re| - re_rad, 0) and at most |re| + re_rad; so is |Im|."""
     out = []
-    for re_lo, re_hi, im_lo, im_hi in embedding_intervals(a, e, bits):
-        re_sq, im_sq = _isquare(re_lo, re_hi), _isquare(im_lo, im_hi)
-        out.append((re_sq[0] + im_sq[0], re_sq[1] + im_sq[1]))
+    for re, re_rad, im, im_rad in embedding_intervals(a, e, bits):
+        x_lo, y_lo = max(abs(re) - re_rad, 0), max(abs(im) - im_rad, 0)
+        x_hi, y_hi = abs(re) + re_rad, abs(im) + im_rad
+        out.append((x_lo * x_lo + y_lo * y_lo, x_hi * x_hi + y_hi * y_hi))
     return out

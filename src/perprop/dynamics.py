@@ -40,10 +40,11 @@ periodic and every image is the whole line: the row is q+1 at every step.
 A sweep row of x^d + c over a prime field with gcd(d, p-1) = 2 (d even, p
 odd) is walked on the quotient F_p/{+1, -1} (row_walk).  x^d is constant on
 each class {t, -t}, so with R = {0, ..., (p-1)/2}, one representative per
-class, and h(s) = rep(s^d + c) on R, the (p+1)/2 points of R carry the row:
-|f^j(X)| = |h^(j-1)(R)| + 1 for j >= 1, the +1 being infinity, and the
-periodic count of f is that of h plus 1 (two periodic points never share an
-image, so no class holds two).  The image sizes need the kernel of x -> x^d
+class, and h(s) = rep(s^d + c) on R, the (p+1)/2 points of R carry the row.
+The walked graph keeps infinity last, at index (p+1)/2, fixed by h as by f:
+|f^j(X)| = |h^(j-1)(R + infinity)| for j >= 1, and the periodic counts of f
+and h are equal (two periodic points never share an image, so no class
+holds two).  The image sizes need the kernel of x -> x^d
 on F_p^* to be exactly {+1, -1}, that is gcd(d, p-1) = 2: then x^d + c is
 injective on R, and f^j(X) is the image of h^(j-1)(R).  With a larger gcd
 the classes of +-1 merge further under x^d and the sizes would differ.  The
@@ -174,18 +175,17 @@ def build_graph(m: ReducedMap) -> FunctionalGraph:
     MEMORY_CAP_POINTS points."""
     check_graph_points(m.field.q + 1)
     _check_int64(m.field)
-    succ = _successors(m, m.field.q)
-    succ[-1] = _infinity_successor(m)
-    return FunctionalGraph(succ)
+    return FunctionalGraph(_successors(m, m.field.q))
 
 
 def _successors(m: ReducedMap, n: int) -> np.ndarray:
     """n + 1 entries: the successors of the indices 0..n-1, BLOCK at a time,
-    then an unset slot for infinity."""
+    then that of infinity at index n, which x^d + c fixes."""
     succ = np.empty(n + 1, dtype=np.int64)
     for start in range(0, n, BLOCK):
         idx = np.arange(start, min(start + BLOCK, n), dtype=np.int64)
         succ[start : start + idx.size] = _finite_successors(m, idx)
+    succ[n] = n if m.kind == "power_plus_c" else _infinity_successor(m)
     return succ
 
 
@@ -218,17 +218,14 @@ def row_walk(m: ReducedMap, max_entries: int) -> tuple[tuple[int, ...], int]:
     _check_int64(F)
     if k == 1:
         return (F.q + 1, F.q + 1)[: max(max_entries, 1)], F.q + 1
-    succ = _successors(m, (F.p + 1) // 2)[:-1]
-    np.minimum(succ, F.p - succ, out=succ)
+    succ = _successors(m, (F.p + 1) // 2)
+    np.minimum(succ[:-1], F.p - succ[:-1], out=succ[:-1])  # infinity stays last
     sizes, periodic = image_sizes_and_periodic(FunctionalGraph(succ), max_entries - 1)
-    shown = (F.q + 1,) + tuple(size + 1 for size in sizes)  # + 1 for infinity
-    return shown[: max(max_entries, 1)], periodic + 1
+    return ((F.q + 1,) + sizes)[: max(max_entries, 1)], periodic
 
 
 def _infinity_successor(m: ReducedMap) -> int:
     F = m.field
-    if m.kind == "power_plus_c":
-        return F.q  # infinity is fixed for a polynomial map
     num, den = m.num_coeffs, m.den_coeffs
     if len(num) > len(den):
         return F.q

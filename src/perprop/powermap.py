@@ -215,21 +215,21 @@ def _radius_rung(z, c, e: int, bits: int) -> bool | None:
     the radius are ever squared, never an iterate's huge endpoints.
 
     The boxes are drawn one at a time until the verdict is known (no box is
-    both inside and outside, as r_lo <= r_hi).  For e > 1 each cos/sin
-    enclosure has half-width >= 2, so each box is at least 4 max |z_i| wide:
-    once 2 max |z_i| > r_lo none can be inside, and the first box not
-    certainly outside settles None.  For e = 1 the box is exact.
+    both inside and outside, as r_lo <= r_hi).  For e > 1 each cos/sin radius
+    is at least 2, so each box has re_rad >= 2 max |z_i|: once 2 max |z_i| >
+    r_lo none can be inside, and the first box not certainly outside settles
+    None.  For e = 1 the box is exact.
     """
     r_lo, r_hi, r_lo_sq, r_hi_sq = _radius_bounds(c, e, bits)
 
-    def outside(re_lo, re_hi, im_lo, im_hi) -> bool:
-        # smallest |Re| and |Im| over the enclosure
-        x, y = max(re_lo, -re_hi, 0), max(im_lo, -im_hi, 0)
+    def outside(re, re_rad, im, im_rad) -> bool:
+        # smallest |Re| and |Im| over the box
+        x, y = max(abs(re) - re_rad, 0), max(abs(im) - im_rad, 0)
         return x > r_hi or y > r_hi or x * x + y * y > r_hi_sq
 
-    def inside(re_lo, re_hi, im_lo, im_hi) -> bool:
-        # largest |Re| and |Im| over the enclosure
-        x, y = max(-re_lo, re_hi), max(-im_lo, im_hi)
+    def inside(re, re_rad, im, im_rad) -> bool:
+        # largest |Re| and |Im| over the box
+        x, y = abs(re) + re_rad, abs(im) + im_rad
         return x <= r_lo and y <= r_lo and x * x + y * y <= r_lo_sq
 
     none_inside = e > 1 and 2 * max(map(abs, z)) > r_lo

@@ -94,6 +94,9 @@ ROWS = {
     "regime_b_output": Row("regime -d 2 -e 1 -c 1", lines=("regime: (a)+(b): limit = 0",)),
     "certified_escape_over_q": Row("regime -d 2 -e 1 -c=1", lines=(
         "critical orbit of 0: not-preperiodic (escape certified at iterate 3)",)),
+    # Phi_30030 from Phi_2310 by the prime 13; 5760 embeddings of one term each
+    "certified_escape_at_a_large_conductor": Row("regime -d 2 -e 30030 -c 1", lines=(
+        "critical orbit of 0: not-preperiodic (escape certified at iterate 3)",)),
     "certified_escape": Row("regime -d 2 -e 7 -c=-2z+z^2-z^4-z^5", lines=(
         "critical orbit of 0: not-preperiodic (escape certified at iterate 8)",)),
     "regime_hypothesis_failure_exit_3": Row("regime -d 2 -e 1 -c -1", 3, lines=(

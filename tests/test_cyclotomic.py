@@ -21,7 +21,7 @@ from perprop.cyclotomic import (
     euler_phi,
     format_cyclotomic,
     parse_cyclotomic,
-    pi_interval,
+    pi_fixed,
     reduce_mod_cyclotomic,
     units_mod,
 )
@@ -74,16 +74,18 @@ def test_cyclotomic_degree_is_phi():
 
 
 def test_product_over_divisors_is_x_n_minus_one():
-    # multiply the cyclotomic factors back together for a few n
-    for n in (6, 8, 12):
+    # multiply the cyclotomic factors back together for a few n, among them
+    # 2310 = 2 3 5 7 11, whose 32 divisors take every branch of the recursion
+    for n in (6, 8, 12, 2310):
         acc = [1]
         for d in range(1, n + 1):
             if n % d == 0:
                 poly = cyclotomic_polynomial(d)
                 out = [0] * (len(acc) + len(poly) - 1)
                 for i, a in enumerate(acc):
-                    for j, b in enumerate(poly):
-                        out[i + j] += a * b
+                    if a:
+                        for j, b in enumerate(poly):
+                            out[i + j] += a * b
                 acc = out
         assert acc == [-1] + [0] * (n - 1) + [1]
 
@@ -132,8 +134,11 @@ def test_units_mod():
 
 
 def test_pi_interval_encloses_pi():
-    lo, hi = pi_interval(128)
+    # pi to 50 decimals lies in (v - u, v + u) / 2^128, u < 2^7
+    v, u = pi_fixed(128)
+    lo, hi = F(v - u, 2**128), F(v + u, 2**128)
     assert float(lo) <= math.pi <= float(hi)
+    assert lo < F("3.14159265358979323846264338327950288419716939937510") < hi
     assert hi - lo < F(1, 2**120)
 
 
@@ -141,7 +146,7 @@ def test_pi_interval_encloses_pi():
 def test_cos_sin_enclosures_match_cmath(j, e):
     scale = 2 ** (64 + GUARD_BITS)
     (clo, chi), (slo, shi) = (
-        (F(lo, scale), F(hi, scale)) for lo, hi in cos_sin_2pi(j, e, 64)
+        (F(mid - rad, scale), F(mid + rad, scale)) for mid, rad in cos_sin_2pi(j, e, 64)
     )
     z = cmath.exp(2j * cmath.pi * j / e)
     assert float(clo) - 1e-12 <= z.real <= float(chi) + 1e-12
@@ -150,18 +155,19 @@ def test_cos_sin_enclosures_match_cmath(j, e):
 
 
 def test_cos_sin_enclosures_are_symmetric_and_at_least_four_wide():
-    # the radius check sums boxes from midpoints and half-widths, and rules
-    # out "inside" from half-widths of at least 2 (e > 1)
+    # each enclosure is (midpoint, radius), so symmetric, and the radius check
+    # rules out "inside" from radii of at least 2 (e > 1)
     for e in range(2, 13):
         for j in range(e):
             for bits in _SLOW_BITS:
-                for lo, hi in cos_sin_2pi(j, e, bits):
-                    assert (lo + hi) % 2 == 0 and hi - lo >= 4, (j, e, bits)
+                for _, rad in cos_sin_2pi(j, e, bits):
+                    assert rad >= 2, (j, e, bits)
 
 
 def _four_product_boxes(a, e, bits):
-    """Reference: every box endpoint summed from the cos/sin endpoints,
-    swapped for negative coefficients, as before the midpoint-radius sums."""
+    """Reference: every box endpoint summed from the cos/sin endpoints
+    mid +- rad, swapped for negative coefficients, as before the
+    midpoint-radius sums."""
     unit = 1 << (bits + GUARD_BITS)
     out = []
     for m in units_mod(e):
@@ -169,9 +175,11 @@ def _four_product_boxes(a, e, bits):
         for i, c in enumerate(a):
             if c == 0:
                 continue
-            (cos_lo, cos_hi), (sin_lo, sin_hi) = (
-                cos_sin_2pi(m * i % e, e, bits) if e > 1 else ((unit, unit), (0, 0))
+            (cos, cos_rad), (sin, sin_rad) = (
+                cos_sin_2pi(m * i % e, e, bits) if e > 1 else ((unit, 0), (0, 0))
             )
+            cos_lo, cos_hi = cos - cos_rad, cos + cos_rad
+            sin_lo, sin_hi = sin - sin_rad, sin + sin_rad
             if c < 0:
                 cos_lo, cos_hi, sin_lo, sin_hi = cos_hi, cos_lo, sin_hi, sin_lo
             re_lo += c * cos_lo
@@ -184,14 +192,17 @@ def _four_product_boxes(a, e, bits):
 
 def test_midpoint_boxes_equal_four_product_boxes():
     # seeded coefficients of up to 50,000 bits, zeros and signs mixed, for
-    # every conductor 1..12 at every rung of the radius check
+    # every conductor 1..12 at every rung of the radius check; each box is
+    # compared through its endpoints mid +- rad
     rng = random.Random(22)
     for e in range(1, 13):
         for top in (2, 64, 3000, 50_000):
             a = tuple(rng.choice((-1, 0, 1)) * rng.getrandbits(rng.randint(1, top))
                       for _ in range(euler_phi(e)))
             for bits in _SLOW_BITS:
-                assert list(embedding_intervals(a, e, bits)) == _four_product_boxes(a, e, bits)
+                boxes = [(re - re_rad, re + re_rad, im - im_rad, im + im_rad)
+                         for re, re_rad, im, im_rad in embedding_intervals(a, e, bits)]
+                assert boxes == _four_product_boxes(a, e, bits)
 
 
 def _embedding_abs(a, e, m):

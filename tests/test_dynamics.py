@@ -483,6 +483,32 @@ def test_folded_walk_matches_the_full_graph():
             assert row_walk(m, max_entries) == want, (max_entries, d, p, f)
 
 
+def test_every_walked_graph_keeps_infinity_last(monkeypatch):
+    # the folded F_p rows (gcd(d, p-1) = 2) and the full rows over F_{p^f},
+    # f >= 2, hand the walk a graph whose last index is infinity, fixed by
+    # x^d + c: (p+1)/2 classes then infinity, or the q points then infinity
+    walk = dynamics.image_sizes_and_periodic
+    walked = []
+
+    def spy(g, max_entries):
+        assert g.successor[-1] == g.size - 1, g.successor.tolist()
+        walked.append(g.size)
+        return walk(g, max_entries)
+
+    monkeypatch.setattr(dynamics, "image_sizes_and_periodic", spy)
+    rows = [(p, 1, d, c) for p in (5, 7, 11, 13, 29, 1009) for d, c in ((2, 1), (2, 3), (6, 1))
+            if gcd(d, p - 1) == 2]
+    rows += [(p, f, d, 1) for p, f in ((3, 2), (5, 2), (7, 2), (3, 4)) for d in (2, 3, 4)
+             if gcd(d, p**f - 1) > 1]
+    expected = []
+    for p, f, d, c in rows:
+        F = make_field(p, f)
+        row_walk(power_map(F, d, F.element_from_index(c)), 8)
+        expected.append((p + 1) // 2 + 1 if f == 1 else F.q + 1)
+    assert walked == expected
+    assert sum(f == 1 for _, f, _, _ in rows) == 15
+
+
 def test_rows_with_gcd_one_build_no_graph(monkeypatch):
     # x^d + c with gcd(d, q-1) = 1 is a bijection: tame, wild, p = 2, f >= 2
     maps = [power_map(make_field(p, f), d, make_field(p, f).element_from_index(c))

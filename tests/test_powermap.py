@@ -265,7 +265,8 @@ def test_escape_soundness_ten_more_iterations():
 @lru_cache(maxsize=None)
 def _fraction_cos_sin(j, e, bits):
     unit = 1 << (bits + cyc.GUARD_BITS)
-    return [(Fraction(lo, unit), Fraction(hi, unit)) for lo, hi in cyc.cos_sin_2pi(j, e, bits)]
+    return [(Fraction(mid - rad, unit), Fraction(mid + rad, unit))
+            for mid, rad in cyc.cos_sin_2pi(j, e, bits)]
 
 
 def _fraction_abs_sq(a, e, bits):
@@ -493,7 +494,7 @@ def test_shortcut_needs_e_above_one_and_a_wide_iterate(monkeypatch):
     # 2 max |z_i| > r_lo; for e = 1, or a smaller iterate, it reaches False
     for e, c in ((1, (1,)), (3, (1, 0))):
         r_lo, r_hi = _radius_bounds(c, e, _SLOW_BITS[0])[:2]
-        fake = [(0, 2 * r_hi, 0, 0), (0, 0, 0, 0)]
+        fake = [(r_hi, r_hi, 0, 0), (0, 0, 0, 0)]
         monkeypatch.setattr(cyc, "embedding_intervals", lambda z, e, bits: iter(fake))
         wide = (r_lo,) + (0,) * (len(c) - 1)
         narrow = (r_lo // 2,) + (0,) * (len(c) - 1)
